@@ -174,16 +174,21 @@ class UniversalStream(LossStream):
 
     The segment count defaults to the guaranteed shattering size for the
     set; rounds are split as evenly as possible with the remainder spread
-    over the earliest segments.
+    over the earliest segments.  The shattered set depends on the set and
+    ``k`` alone, so streams of several trials can share one ``shattered``
+    found beforehand, in which case ``k`` is its size.
     """
 
     name = "universal"
 
-    def __init__(self, decision_set, horizon, rng, k=None):
+    def __init__(self, decision_set, horizon, rng, k=None, shattered=None):
         super().__init__(decision_set.dimension, horizon)
-        if k is None:
-            k = universal_shattering_size(decision_set)
-        self.shattered = find_shattered_set(decision_set, k)
+        if shattered is None:
+            if k is None:
+                k = universal_shattering_size(decision_set)
+            shattered = find_shattered_set(decision_set, k)
+        self.shattered = shattered
+        k = shattered.size
         sizes = [horizon // k + (1 if i < horizon % k else 0) for i in range(k)]
         self.segment_sizes = sizes
         self.coordinate_of_round = np.repeat(

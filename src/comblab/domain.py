@@ -13,6 +13,7 @@ Loss vectors are constrained so that every action's per-round loss lies in
 operations here are pure functions of their inputs.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,10 +27,38 @@ ENUMERATION_CAP = 1_000_000
 FEAS_TOL = 1e-9
 FLOW_TOL = 1e-9
 
+#: The semiring zero of each reducing ufunc that ``Dag.semiring_pass`` takes.
+_SEMIRING_ZERO = {np.logaddexp: -np.inf, np.minimum: np.inf, np.maximum: -np.inf}
+
 
 # ---------------------------------------------------------------------------
 # DAG
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompiledDag:
+    """A DAG laid out for ``Dag.semiring_pass``.
+
+    The pass keeps two values per vertex: slot ``v`` reduces over the
+    out-edges of ``v`` (the backward DP, toward the sink) and slot
+    ``n_vertices + v`` over its in-edges (the forward DP, from the source).
+    Level ``k`` holds the backward slots of height ``k`` (longest hop count
+    to a vertex without out-edges) and the forward slots of depth ``k``
+    (longest hop count from a vertex without in-edges), so every value a
+    level reads is final before it runs.  Within a level the edges are
+    grouped by slot, then ordered by edge index; ``edge_order`` lists the
+    edge of each position.  Each entry of ``levels`` is
+    ``(lo, hi, gather, starts, scatter)``: the level's slice of
+    ``edge_order``, the slot at the far end of each of its edges, the
+    offset of each slot's group in the slice, and the slots it sets.
+    Edges out of the sink and into the source lie on no s-t path and are
+    left out of the backward and forward halves.
+    """
+    tails: np.ndarray
+    heads: np.ndarray
+    edge_order: np.ndarray
+    levels: tuple
+
 
 class Dag:
     """Directed acyclic graph with a designated source and sink.
@@ -87,22 +116,12 @@ class Dag:
         is a valid decision-set carrier.
         """
         defects = []
-        order = self.topological_order()
-        if order is None:
+        if self.topological_order() is None:
             defects.append("cycle detected (no topological order exists)")
             return defects
-        reach = np.zeros(self.n_vertices, dtype=bool)
-        reach[self.source] = True
-        for u in order:
-            if reach[u]:
-                for e in self.out_edges[u]:
-                    reach[self.edges[e][1]] = True
-        coreach = np.zeros(self.n_vertices, dtype=bool)
-        coreach[self.sink] = True
-        for u in reversed(order):
-            if coreach[u]:
-                for e in self.in_edges[u]:
-                    coreach[self.edges[e][0]] = True
+        to_sink, from_source = self.semiring_pass(np.zeros(self.n_edges),
+                                                  np.maximum)
+        reach, coreach = np.isfinite(from_source), np.isfinite(to_sink)
         for v in range(self.n_vertices):
             if not reach[v]:
                 defects.append(f"vertex {v} unreachable from source")
@@ -124,33 +143,13 @@ class Dag:
 
     def extreme_path_weights(self, y):
         """(shortest, longest) s-t path weight under edge weights ``y``."""
-        y = np.asarray(y, dtype=float)
-        order = self.topological_order()
-        lo = np.full(self.n_vertices, np.inf)
-        hi = np.full(self.n_vertices, -np.inf)
-        lo[self.source] = hi[self.source] = 0.0
-        for u in order:
-            if not np.isfinite(lo[u]):
-                continue
-            for e in self.out_edges[u]:
-                v = self.edges[e][1]
-                lo[v] = min(lo[v], lo[u] + y[e])
-                hi[v] = max(hi[v], hi[u] + y[e])
+        _, lo = self.semiring_pass(y, np.minimum)
+        _, hi = self.semiring_pass(y, np.maximum)
         return lo[self.sink], hi[self.sink]
 
     def shortest_dists_from_source(self, y):
         """Shortest-path weight from the source to every vertex."""
-        y = np.asarray(y, dtype=float)
-        order = self.topological_order()
-        lo = np.full(self.n_vertices, np.inf)
-        lo[self.source] = 0.0
-        for u in order:
-            if not np.isfinite(lo[u]):
-                continue
-            for e in self.out_edges[u]:
-                v = self.edges[e][1]
-                lo[v] = min(lo[v], lo[u] + y[e])
-        return lo
+        return self.semiring_pass(y, np.minimum)[1]
 
     def extreme_path(self, y, mode="min"):
         """An extreme-weight s-t path as an edge indicator.
@@ -159,18 +158,8 @@ class Dag:
         the result is the first optimal path in enumeration order.
         """
         y = np.asarray(y, dtype=float)
-        order = self.topological_order()
         sign = 1.0 if mode == "min" else -1.0
-        best = np.full(self.n_vertices, np.inf)
-        best[self.sink] = 0.0
-        for u in reversed(order):
-            if u == self.sink:
-                continue
-            for e in self.out_edges[u]:
-                v = self.edges[e][1]
-                cand = sign * y[e] + best[v]
-                if cand < best[u]:
-                    best[u] = cand
+        best, _ = self.semiring_pass(sign * y, np.minimum)
         x = np.zeros(self.n_edges)
         u = self.source
         while u != self.sink:
@@ -186,6 +175,67 @@ class Dag:
                 x[e] = 1.0
                 u = self.edges[e][1]
         return x
+
+    @functools.cached_property
+    def compiled(self):
+        """The ``CompiledDag`` of this graph, built on first use.
+
+        One sweep over the topological order gives every vertex its depth
+        and height, and one sort groups the edges by level.
+        """
+        order = self.topological_order()
+        if order is None:
+            raise PreconditionError("graph is cyclic")
+        n = self.n_vertices
+        tails = np.array([u for u, _ in self.edges], dtype=np.intp)
+        heads = np.array([v for _, v in self.edges], dtype=np.intp)
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        by_tail = np.argsort(position[tails], kind="stable").tolist()
+        depth = [0] * n
+        height = [0] * n
+        for e in by_tail:
+            u, v = self.edges[e]
+            depth[v] = max(depth[v], depth[u] + 1)
+        for e in reversed(by_tail):
+            u, v = self.edges[e]
+            height[u] = max(height[u], height[v] + 1)
+        near = np.concatenate([tails, heads + n])
+        far = np.concatenate([heads, tails + n])
+        level = np.concatenate([np.array(height)[tails], np.array(depth)[heads]])
+        keep = np.flatnonzero(np.concatenate([tails != self.sink,
+                                              heads != self.source]))
+        perm = keep[np.lexsort((near[keep], level[keep]))]
+        near = near[perm]
+        group_starts = np.flatnonzero(np.diff(near, prepend=-1))
+        bounds = np.flatnonzero(np.diff(level[perm], prepend=-1, append=-1))
+        first_group = np.searchsorted(group_starts, bounds).tolist()
+        levels = []
+        for k in range(len(bounds) - 1):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            starts = group_starts[first_group[k]:first_group[k + 1]]
+            levels.append((lo, hi, far[perm[lo:hi]], starts - lo, near[starts]))
+        return CompiledDag(tails, heads, perm % self.n_edges, tuple(levels))
+
+    def semiring_pass(self, values, reduce):
+        """Backward and forward path DPs under per-edge ``values``.
+
+        Returns ``(backward, forward)``: at each vertex ``v``, the
+        ``reduce``-sum over ``v``-to-sink paths (backward) and over
+        source-to-``v`` paths (forward) of the path's summed values.
+        ``reduce`` is ``np.logaddexp``, ``np.minimum`` or ``np.maximum``; a
+        vertex with no such path gets its zero.  Both run in one
+        level-synchronous sweep: per level one gather, add, ``reduceat``
+        and scatter.
+        """
+        compiled, n = self.compiled, self.n_vertices
+        dist = np.full(2 * n, _SEMIRING_ZERO[reduce])
+        dist[[self.sink, n + self.source]] = 0.0
+        w = np.asarray(values, dtype=float)[compiled.edge_order]
+        reduceat = reduce.reduceat
+        for lo, hi, gather, starts, scatter in compiled.levels:
+            dist[scatter] = reduceat(w[lo:hi] + dist[gather], starts)
+        return dist[:n], dist[n:]
 
     def enumerate_paths(self, cap=ENUMERATION_CAP):
         """All s-t paths as edge indicators, in DFS order (lowest edge first)."""

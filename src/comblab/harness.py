@@ -177,8 +177,11 @@ def build_adversary(spec, decision_set, horizon, learner_eta=None):
 def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
                              learner_eta):
     if name == "universal":
-        k = int(kwargs["k"]) if "k" in kwargs else None
-        return lambda rng: adv.UniversalStream(decision_set, horizon, rng, k=k)
+        k = (int(kwargs["k"]) if "k" in kwargs
+             else adv.universal_shattering_size(decision_set))
+        shattered = adv.find_shattered_set(decision_set, k)
+        return lambda rng: adv.UniversalStream(decision_set, horizon, rng,
+                                               shattered=shattered)
     if name == "mset-lb":
         if not isinstance(decision_set, MSet):
             raise PreconditionError("mset-lb needs an mset decision set")
@@ -311,19 +314,19 @@ def run_experiment(config, decision_set=None):
     """
     dset = decision_set if decision_set is not None else build_set(config.set_spec)
 
-    first_eta = None
-    probe = build_learner(config.learner_specs[0], dset, config.horizon,
+    # Building a learner draws no randomness, so the one built to read the
+    # first learner's rate plays in trial 0.
+    first = build_learner(config.learner_specs[0], dset, config.horizon,
                           config.eta)
-    first_eta = probe.eta
-
     adv_factory = build_adversary(config.adversary_spec, dset, config.horizon,
-                                  learner_eta=first_eta)
+                                  learner_eta=first.eta)
 
     ledgers = {spec: [] for spec in config.learner_specs}
     for trial in range(config.trials):
         stream = adv_factory(RngStream(config.seed, trial, 0))
-        learners = [build_learner(spec, dset, config.horizon, config.eta)
-                    for spec in config.learner_specs]
+        learners = [first if trial == 0 and i == 0
+                    else build_learner(spec, dset, config.horizon, config.eta)
+                    for i, spec in enumerate(config.learner_specs)]
         sample_rngs = [RngStream(config.seed, trial, 1 + i)
                        for i in range(len(learners))]
         n = len(learners)

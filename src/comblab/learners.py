@@ -10,8 +10,10 @@ Hedge is computed exactly in whichever representation fits the decision
 set: an explicit weight per vertex, weight pushing over a DAG, a
 select/skip DAG embedding for m-sets (the path bijection preserves losses,
 so the induced distribution IS Hedge over the m-set), or per-block weights
-for multitask sets.  All weight arithmetic is done in log space with
-max-subtraction so large eta*T never overflows.
+for multitask sets.  Weight pushing is one log-sum-exp
+:meth:`Dag.semiring_pass` over the graph's topological levels, so a round
+costs O(|E|) work in O(levels) numpy calls.  All weight arithmetic is done
+in log space with max-subtraction so large eta*T never overflows.
 """
 
 import math
@@ -52,84 +54,17 @@ def dag_entropy_rate(decision_set, horizon):
 # weight pushing
 # ---------------------------------------------------------------------------
 
-def _dag_flat_arrays(dag):
-    """CSR-style adjacency and topological order, cached on the Dag."""
-    cached = getattr(dag, "_flat_arrays", None)
-    if cached is not None:
-        return cached
-    order = np.array(dag.topological_order(), dtype=np.int64)
-    out_ptr = np.zeros(dag.n_vertices + 1, dtype=np.int64)
-    in_ptr = np.zeros(dag.n_vertices + 1, dtype=np.int64)
-    for v in range(dag.n_vertices):
-        out_ptr[v + 1] = out_ptr[v] + len(dag.out_edges[v])
-        in_ptr[v + 1] = in_ptr[v] + len(dag.in_edges[v])
-    out_idx = np.concatenate([dag.out_edges[v] for v in range(dag.n_vertices)
-                              if len(dag.out_edges[v])] or [np.array([], dtype=int)])
-    in_idx = np.concatenate([dag.in_edges[v] for v in range(dag.n_vertices)
-                             if len(dag.in_edges[v])] or [np.array([], dtype=int)])
-    arrays = (order, out_ptr, out_idx.astype(np.int64),
-              in_ptr, in_idx.astype(np.int64),
-              np.array([u for u, _ in dag.edges], dtype=np.int64),
-              np.array([v for _, v in dag.edges], dtype=np.int64))
-    dag._flat_arrays = arrays
-    return arrays
-
-
-def _wp_kernel(order, out_ptr, out_idx, in_ptr, in_idx, tails, heads,
-               log_w, source, sink):
-    """Edge marginals of the path distribution with weights exp(log_w)."""
-    n = order.shape[0]
-    log_z = np.full(n, -np.inf)
-    log_z[sink] = 0.0
-    for k in range(n - 1, -1, -1):
-        v = order[k]
-        if v == sink:
-            continue
-        acc = -np.inf
-        for ptr in range(out_ptr[v], out_ptr[v + 1]):
-            e = out_idx[ptr]
-            val = log_w[e] + log_z[heads[e]]
-            if val > acc:
-                acc, val = val, acc
-            if val > -np.inf:
-                acc = acc + np.log1p(np.exp(val - acc))
-        log_z[v] = acc
-    log_f = np.full(n, -np.inf)
-    log_f[source] = 0.0
-    for k in range(n):
-        v = order[k]
-        if v == source:
-            continue
-        acc = -np.inf
-        for ptr in range(in_ptr[v], in_ptr[v + 1]):
-            e = in_idx[ptr]
-            val = log_f[tails[e]] + log_w[e]
-            if val > acc:
-                acc, val = val, acc
-            if val > -np.inf:
-                acc = acc + np.log1p(np.exp(val - acc))
-        log_f[v] = acc
-    marg = np.empty(log_w.shape[0])
-    for e in range(log_w.shape[0]):
-        marg[e] = np.exp(log_f[tails[e]] + log_w[e] + log_z[heads[e]]
-                         - log_z[source])
-    return marg
-
-
-try:
-    from numba import njit
-
-    _wp_kernel = njit(cache=True)(_wp_kernel)
-except ImportError:  # pragma: no cover
-    pass
-
-
 def weight_pushing_marginals(dag, log_weights):
-    """Marginal probability of each edge under path weights ``exp(log_weights)``."""
-    order, out_ptr, out_idx, in_ptr, in_idx, tails, heads = _dag_flat_arrays(dag)
-    return _wp_kernel(order, out_ptr, out_idx, in_ptr, in_idx, tails, heads,
-                      np.ascontiguousarray(log_weights, dtype=float),
-                      dag.source, dag.sink)
+    """Marginal probability of each edge under path weights ``exp(log_weights)``.
+
+    One log-sum-exp pass gives, at every vertex, the log partition function
+    of the paths to the sink and of the paths from the source.
+    """
+    log_w = np.asarray(log_weights, dtype=float)
+    log_z, log_f = dag.semiring_pass(log_w, np.logaddexp)
+    compiled = dag.compiled
+    return np.exp(log_f[compiled.tails] + log_w + log_z[compiled.heads]
+                  - log_z[dag.source])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +154,11 @@ class ExplicitHedge(Learner):
 
 
 class DagHedge(Learner):
-    """Hedge over s-t paths via weight pushing; O(|E|) per round."""
+    """Hedge over s-t paths via weight pushing.
+
+    Each round's policy is the edge marginals of one log-sum-exp semiring
+    pass: O(|E|) work in O(levels) numpy calls.
+    """
 
     name = "hedge-dag"
     hedge_family = True
@@ -296,6 +235,7 @@ class MSetHedge(Learner):
         self._select = np.flatnonzero(self._coord >= 0)
         self._select_coord = self._coord[self._select]
         self.cum_loss = np.zeros(self.dag.n_edges)
+        self._marg = None  # edge marginals behind the cached policy
 
     def _embed(self, y):
         emb = np.zeros(self.dag.n_edges)
@@ -303,16 +243,16 @@ class MSetHedge(Learner):
         return emb
 
     def _compute_policy(self):
-        marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
-        return np.bincount(self._select_coord, weights=marg[self._select],
+        self._marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
+        return np.bincount(self._select_coord, weights=self._marg[self._select],
                            minlength=self.d)
 
     def _absorb(self, y):
         self.cum_loss += self._embed(y)
 
     def sample(self, rng):
-        marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
-        path = sample_path(self.dag, marg, rng)
+        self.propose()  # sets the edge marginals of the current round
+        path = sample_path(self.dag, self._marg, rng)
         x = np.zeros(self.d)
         on = self._select[path[self._select] > 0]
         x[self._coord[on]] = 1.0
@@ -548,8 +488,7 @@ def shift_losses(dag, y):
     """
     y = np.asarray(y, dtype=float)
     dist = dag.shortest_dists_from_source(y)
-    shifted = np.array([y[e] + dist[u] - dist[v]
-                        for e, (u, v) in enumerate(dag.edges)])
+    shifted = y + dist[dag.compiled.tails] - dist[dag.compiled.heads]
     return shifted, float(-dist[dag.sink])
 
 

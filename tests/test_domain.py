@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import comblab as cl
-from comblab.instances import chain_dag, diamond_dag, hypercube_set, parallel_dag
+from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
+                               parallel_dag, random_feasible_loss,
+                               random_layered_dag)
+from comblab.learners import mset_selection_dag
 from comblab.sampling import RngStream
 
 
@@ -159,6 +162,13 @@ def test_dag_validate_isolated_vertex():
     assert any('3' in d for d in defects)
 
 
+def test_dag_validate_vertices_off_every_path():
+    # 3 feeds the source but is fed by nothing; 4 hangs off the sink
+    dag = cl.Dag(5, [(0, 1), (1, 2), (3, 0), (0, 2), (2, 4)], 0, 2)
+    assert dag.validate() == ["vertex 3 unreachable from source",
+                              "vertex 4 cannot reach sink"]
+
+
 def test_dag_validate_cycle():
     dag = cl.Dag(4, [(0, 1), (1, 2), (2, 1), (1, 3)], 0, 3)
     defects = dag.validate()
@@ -182,6 +192,135 @@ def test_dag_text_roundtrip(tmp_path):
     assert dag.n_vertices == 4 and dag.n_edges == 4
     assert dag.validate() == []
     assert dag.path_count() == 2
+
+
+# ---------------------------------------------------------------------------
+# level-synchronous semiring pass, against the topological-order loops it
+# replaced
+# ---------------------------------------------------------------------------
+
+def _loop_extreme_path_weights(dag, y):
+    lo = np.full(dag.n_vertices, np.inf)
+    hi = np.full(dag.n_vertices, -np.inf)
+    lo[dag.source] = hi[dag.source] = 0.0
+    for u in dag.topological_order():
+        if not np.isfinite(lo[u]):
+            continue
+        for e in dag.out_edges[u]:
+            v = dag.edges[e][1]
+            lo[v] = min(lo[v], lo[u] + y[e])
+            hi[v] = max(hi[v], hi[u] + y[e])
+    return lo, hi
+
+
+def _loop_extreme_path(dag, y, mode):
+    sign = 1.0 if mode == "min" else -1.0
+    best = np.full(dag.n_vertices, np.inf)
+    best[dag.sink] = 0.0
+    for u in reversed(dag.topological_order()):
+        if u == dag.sink:
+            continue
+        for e in dag.out_edges[u]:
+            cand = sign * y[e] + best[dag.edges[e][1]]
+            if cand < best[u]:
+                best[u] = cand
+    x = np.zeros(dag.n_edges)
+    u = dag.source
+    while u != dag.sink:
+        for e in dag.out_edges[u]:
+            v = dag.edges[e][1]
+            if sign * y[e] + best[v] == best[u]:
+                x[e] = 1.0
+                u = v
+                break
+        else:
+            e = min(dag.out_edges[u],
+                    key=lambda e: abs(sign * y[e] + best[dag.edges[e][1]] - best[u]))
+            x[e] = 1.0
+            u = dag.edges[e][1]
+    return x
+
+
+def _skip_level_dag():
+    """Edges that jump levels, a parallel pair, and edge indices out of
+    topological order.  Vertex 4 comes after vertex 2 in the topological
+    order but is shallower, and vertex 1's first out-edge is its shortest
+    way to the sink, so depth and height must be maxima over all edges."""
+    return cl.Dag(7, [(5, 6), (0, 1), (1, 6), (2, 5), (0, 4), (4, 5), (0, 6),
+                      (2, 3), (3, 6), (0, 1), (1, 2)], 0, 6)
+
+
+def _pass_test_dags():
+    rng = RngStream(41, 0)
+    dags = [random_layered_dag(rng, max_edges=30, max_layers=5, max_width=4)
+            for _ in range(8)]
+    return dags + [parallel_dag(4), _skip_level_dag()]
+
+
+def _losses_with_ties(dag, gen):
+    """Loss vectors whose small-integer values make many paths tie."""
+    yield np.zeros(dag.n_edges)
+    for _ in range(15):
+        yield gen.integers(-2, 3, size=dag.n_edges).astype(float)
+    for _ in range(5):
+        yield gen.standard_normal(dag.n_edges)
+
+
+def test_semiring_pass_min_max_match_loops_bit_for_bit():
+    gen = RngStream(42, 0).generator
+    # an edge into the source and one out of the sink lie on no s-t path
+    off_path = cl.Dag(5, [(0, 1), (1, 2), (3, 0), (0, 2), (2, 4)], 0, 2)
+    for dag in _pass_test_dags() + [off_path]:
+        for y in _losses_with_ties(dag, gen):
+            lo, hi = _loop_extreme_path_weights(dag, y)
+            assert np.array_equal(dag.shortest_dists_from_source(y), lo)
+            assert dag.extreme_path_weights(y) == (lo[dag.sink], hi[dag.sink])
+            for mode in ("min", "max"):
+                assert np.array_equal(dag.extreme_path(y, mode=mode),
+                                      _loop_extreme_path(dag, y, mode))
+
+
+def test_extreme_path_ties_go_to_the_lowest_edge():
+    dag = _skip_level_dag()
+    # every path weighs 0, so each vertex leaves by its lowest edge:
+    # 1 (0->1), then 2 (1->6)
+    for mode in ("min", "max"):
+        x = dag.extreme_path(np.zeros(dag.n_edges), mode=mode)
+        assert np.flatnonzero(x).tolist() == [1, 2]
+    # with the short way penalised the path goes 0->1->2->5->6
+    y = np.zeros(dag.n_edges)
+    y[2] = 1.0
+    assert np.flatnonzero(dag.extreme_path(y)).tolist() == [0, 1, 3, 10]
+
+
+def test_compiled_levels_hold_each_edge_once_per_direction():
+    for dag in _pass_test_dags() + [mset_selection_dag(8, 3)[0]]:
+        compiled, n = dag.compiled, dag.n_vertices
+        final = {dag.sink, n + dag.source}
+        placed = []
+        for lo, hi, gather, starts, scatter in compiled.levels:
+            assert set(gather.tolist()) <= final  # reads only finished slots
+            slots = np.repeat(scatter, np.diff(np.append(starts, hi - lo)))
+            edges = compiled.edge_order[lo:hi].tolist()
+            order = list(zip(slots.tolist(), edges))
+            assert order == sorted(order)  # by slot, then by edge index
+            for slot, far, e in zip(slots.tolist(), gather.tolist(), edges):
+                u, v = dag.edges[e]
+                assert (slot, far) == ((u, v) if slot < n else (n + v, n + u))
+                placed.append((slot >= n, e))
+            final.update(scatter.tolist())
+        assert sorted(placed) == [(fwd, e) for fwd in (False, True)
+                                  for e in range(dag.n_edges)]
+
+
+def test_weight_pushing_matches_explicit_hedge_on_pass_dags():
+    rng = RngStream(43, 0)
+    for dag in _pass_test_dags():
+        dset = cl.DagPathSet(dag)
+        fast, slow = cl.DagHedge(dset, 0.7), cl.ExplicitHedge(dset, 0.7)
+        for _ in range(20):
+            y = random_feasible_loss(dset, rng)
+            assert np.max(np.abs(fast.step(y) - slow.step(y))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,49 @@ def test_hedge_killer_defaults_to_first_learner_rate():
     assert np.array_equal(a.loss, b.loss)
 
 
+def test_learners_are_built_once_per_trial(monkeypatch):
+    import comblab.harness as hz
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return cl.build_learner(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "build_learner", counted)
+    # hedge-killer is deterministic, so every trial must replay trial 0
+    res = cl.run_experiment(cl.ExperimentConfig(
+        "mset:8:2", ["hedge", "omd-mset"], "hedge-killer", horizon=24,
+        trials=3))
+    assert len(built) == 3 * 2
+    for trials in res.ledgers.values():
+        for led in trials[1:]:
+            assert np.array_equal(led.loss, trials[0].loss)
+
+
+def test_universal_finds_its_shattered_set_once(monkeypatch):
+    import comblab.adversaries as adv
+    import comblab.harness as hz
+
+    cfg = cl.ExperimentConfig("mset:8:2", ["hedge", "omd-mset"], "universal",
+                              horizon=40, trials=4, seed=3)
+    searches = []
+    find = adv.find_shattered_set
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(adv, "find_shattered_set", counted)
+    shared = cl.csv_text(cl.run_experiment(cfg))
+    assert len(searches) == 1
+    dset = cl.MSet(8, 2)
+    monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
+        lambda rng: adv.UniversalStream(dset, cfg.horizon, rng)))
+    assert cl.csv_text(cl.run_experiment(cfg, decision_set=dset)) == shared
+    assert len(searches) == 1 + cfg.trials
+
+
 def test_adversary_seed_override_pins_stream():
     base = dict(horizon=12, trials=2)
     runs = [cl.run_experiment(cl.ExperimentConfig(

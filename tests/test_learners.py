@@ -6,8 +6,9 @@ import pytest
 import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                random_feasible_loss, random_layered_dag)
+from comblab.learners import mset_selection_dag, weight_pushing_marginals
 from comblab.proximal import _solve_coords_numpy, mset_prox, mset_prox_numpy
-from comblab.sampling import RngStream
+from comblab.sampling import RngStream, sample_path
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,85 @@ def test_mset_hedge_no_overflow_at_large_eta_t():
     p = learner.propose()
     assert np.all(np.isfinite(p)) and p[0] <= 1e-10
     assert p.sum() == pytest.approx(3.0, abs=1e-9)
+
+
+def _loop_weight_pushing(dag, log_w):
+    """Per-vertex, per-edge weight pushing: the loops the level-synchronous
+    pass replaced."""
+    order = dag.topological_order()
+    log_z = np.full(dag.n_vertices, -np.inf)
+    log_z[dag.sink] = 0.0
+    for v in reversed(order):
+        if v == dag.sink:
+            continue
+        acc = -np.inf
+        for e in dag.out_edges[v]:
+            val = log_w[e] + log_z[dag.edges[e][1]]
+            if val > acc:
+                acc, val = val, acc
+            if val > -np.inf:
+                acc = acc + np.log1p(np.exp(val - acc))
+        log_z[v] = acc
+    log_f = np.full(dag.n_vertices, -np.inf)
+    log_f[dag.source] = 0.0
+    for v in order:
+        if v == dag.source:
+            continue
+        acc = -np.inf
+        for e in dag.in_edges[v]:
+            val = log_f[dag.edges[e][0]] + log_w[e]
+            if val > acc:
+                acc, val = val, acc
+            if val > -np.inf:
+                acc = acc + np.log1p(np.exp(val - acc))
+        log_f[v] = acc
+    return np.array([np.exp(log_f[u] + log_w[e] + log_z[v] - log_z[dag.source])
+                     for e, (u, v) in enumerate(dag.edges)])
+
+
+def test_mset_hedge_matches_loop_weight_pushing_under_attack():
+    d, m, horizon = 64, 8, 200
+    eta = 2.0 * math.sqrt(m * math.log(d / m) / horizon)
+    learner = cl.MSetHedge(cl.MSet(d, m), eta)
+    dag, coord = mset_selection_dag(d, m)
+    select = coord >= 0
+    killer = cl.HedgeKillerStream(d, m, horizon, eta)
+    for t in range(1, horizon + 1):
+        marg = _loop_weight_pushing(dag, -eta * learner.cum_loss)
+        want = np.bincount(coord[select], weights=marg[select], minlength=d)
+        assert np.max(np.abs(learner.step(killer.loss(t)) - want)) <= 1e-12
+
+
+def test_sampled_mset_hedge_pushes_weights_once_per_round(monkeypatch):
+    import comblab.learners as ln
+
+    calls = []
+
+    def counted(dag, log_weights):
+        calls.append(1)
+        return weight_pushing_marginals(dag, log_weights)
+
+    monkeypatch.setattr(ln, "weight_pushing_marginals", counted)
+    cfg = cl.ExperimentConfig("mset:8:2", ["hedge"], "mset-lb", horizon=100,
+                              mode="sampled")
+    cl.run_experiment(cfg)
+    assert len(calls) == 100
+
+
+def test_mset_hedge_samples_from_the_round_marginals():
+    rng = RngStream(24, 0)
+    dset = cl.MSet(8, 2)
+    learner = cl.MSetHedge(dset, 0.9)
+    dag, coord = mset_selection_dag(8, 2)
+    for t in range(60):
+        learner.propose()
+        got = learner.sample(RngStream(24, 1, t))
+        marg = weight_pushing_marginals(dag, -0.9 * learner.cum_loss)
+        path = sample_path(dag, marg, RngStream(24, 1, t))
+        want = np.zeros(8)
+        want[coord[(path > 0) & (coord >= 0)]] = 1.0
+        assert np.array_equal(got, want)
+        learner.absorb(random_feasible_loss(dset, rng))
 
 
 def test_multitask_hedge_factorizes():
