@@ -3,7 +3,7 @@
 Weight pushing turns per-edge exponential weights into exact path-space
 Hedge marginals in O(|E|) per round.  Mirror descent with the dilated
 entropy regularizer produces the same iterates -- certified here by running
-the numeric KKT solver against the fast path on random graphs.
+the numeric KKT solver against weight pushing on random graphs.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ dset = cl.DagPathSet(dag)
 print(f"diamond: {dag.n_edges} edges, {dag.path_count()} paths, "
       f"defects: {dag.validate()}")
 
-hedge = cl.DagHedge(dset, eta=1.0)
+hedge = cl.PathHedge(dset, eta=1.0)
 y_top = np.array([0.5, 0.0, 0.5, 0.0])  # charge the top route one unit
 hedge.step(y_top)
 print("edge marginals after one hit on the top route:", hedge.propose())

@@ -12,8 +12,8 @@ from .adversaries import (ConstantStream, DagLayeredStream, GaussianFeasibleStre
                           hedge_killer_base_rate, layered_dag,
                           universal_shattering_size)
 from .domain import (Dag, DagPathSet, DecisionSet, ExplicitSet, LossCheck, MSet,
-                     MultitaskSet, dual_norm, flow_check, load_dag,
-                     primal_norm_bruteforce, validate_loss)
+                     MultitaskSet, flow_check, load_dag, mset_selection_dag,
+                     primal_norm_bruteforce)
 from .errors import (CapExceeded, ComblabError, DegenerateVertex, DomainError,
                      InternalConsistencyError, PreconditionError, RangeError,
                      ShatteringNotFound, SolverFailure, ValidationError)
@@ -21,12 +21,10 @@ from .harness import (EquivalenceReport, ExperimentConfig, ExperimentResult,
                       RegretLedger, build_adversary, build_learner, build_set,
                       check_iterate_equivalence, csv_text, lb_demo,
                       parse_config, regret_of, run_experiment)
-from .learners import (DagHedge, DilatedOmd, EntropyDagOmd, ExplicitHedge,
-                       Learner, MSetHedge, MSetOmd, MultitaskHedge, MultitaskOmd,
-                       best_in_hindsight, dag_entropy_rate,
+from .learners import (DilatedOmd, EntropyDagOmd, ExplicitHedge, Learner,
+                       MSetOmd, PathHedge, best_in_hindsight, dag_entropy_rate,
                        default_learning_rate, make_hedge, mset_omd_rate,
-                       mset_selection_dag, shift_losses,
-                       weight_pushing_marginals)
+                       shift_losses, weight_pushing_marginals)
 from .properties import PropertyResult, run_property_suite
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_numpy,
                        sinkhorn_flow_projection)

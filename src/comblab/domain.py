@@ -322,9 +322,17 @@ class LossCheck:
 
 
 class DecisionSet:
-    """Common interface of the four decision-set variants."""
+    """Common interface of the four decision-set variants.
+
+    ``path_embedding`` is ``None`` unless the vertices are the s-t paths of
+    a DAG; then it is ``(dag, coord)``, and a path's vertex has a one at
+    ``coord[e]`` for each edge ``e`` on the path that carries a coordinate
+    (``coord[e] == -1`` for none).  Hedge over such a set is weight pushing
+    over the DAG.
+    """
 
     dimension: int
+    path_embedding = None
 
     def count(self):
         raise NotImplementedError
@@ -491,6 +499,11 @@ class MSet(DecisionSet):
         x[chosen] = 1.0
         return x, float(cum_loss[chosen].sum())
 
+    @functools.cached_property
+    def path_embedding(self):
+        """The select/skip DAG of :func:`mset_selection_dag`."""
+        return mset_selection_dag(self.dimension, self.m)
+
     def membership_residual(self, x):
         x = np.asarray(x, dtype=float)
         res = abs(x.sum() - self.m)
@@ -553,6 +566,15 @@ class MultitaskSet(DecisionSet):
             total += float(cum_loss[sl.start + j])
         return x, total
 
+    @functools.cached_property
+    def path_embedding(self):
+        """A chain with one bundle of parallel edges per block; edge ``e``
+        carries coordinate ``e``."""
+        edges = [(b, b + 1) for b, size in enumerate(self.block_sizes)
+                 for _ in range(size)]
+        n = len(self.block_sizes)
+        return Dag(n + 1, edges, 0, n), np.arange(self.dimension)
+
     def membership_residual(self, x):
         x = np.asarray(x, dtype=float)
         res = max(abs(x[sl].sum() - 1.0) for sl in self.block_slices)
@@ -569,6 +591,7 @@ class DagPathSet(DecisionSet):
             raise PreconditionError("invalid DAG: " + "; ".join(defects))
         self.dag = dag
         self.dimension = dag.n_edges
+        self.path_embedding = (dag, np.arange(dag.n_edges))
 
     def count(self):
         return self.dag.path_count()
@@ -597,19 +620,38 @@ class DagPathSet(DecisionSet):
         return res
 
 
+def mset_selection_dag(d, m):
+    """Select/skip DAG whose s-t paths are in bijection with m-subsets of d.
+
+    Level i vertex state is the count of coordinates selected so far; the
+    edge from level i taken upward carries coordinate i.  Returns
+    ``(dag, coordinate_of_edge)`` with -1 marking skip edges.
+    """
+    vid = {}
+    for i in range(d + 1):
+        lo = max(0, m - (d - i))
+        hi = min(i, m)
+        for j in range(lo, hi + 1):
+            vid[(i, j)] = len(vid)
+    edges = []
+    coord = []
+    for i in range(d):
+        lo = max(0, m - (d - i))
+        hi = min(i, m)
+        for j in range(lo, hi + 1):
+            if (i + 1, j) in vid:
+                edges.append((vid[(i, j)], vid[(i + 1, j)]))
+                coord.append(-1)
+            if (i + 1, j + 1) in vid:
+                edges.append((vid[(i, j)], vid[(i + 1, j + 1)]))
+                coord.append(i)
+    dag = Dag(len(vid), edges, vid[(0, 0)], vid[(d, m)])
+    return dag, np.array(coord, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
-
-def dual_norm(decision_set, z):
-    """``max_x |<x, z>|`` -- module-level alias of the set method."""
-    return decision_set.dual_norm(z)
-
-
-def validate_loss(decision_set, y, tol=FEAS_TOL):
-    """Module-level alias of ``DecisionSet.validate_loss``."""
-    return decision_set.validate_loss(y, tol=tol)
-
 
 def primal_norm_bruteforce(decision_set, z, cap=ENUMERATION_CAP, tol=1e-8):
     """The norm dual to ``dual_norm``: ``max { <y, z> : max_x |<x,y>| <= 1 }``.

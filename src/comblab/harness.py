@@ -7,7 +7,12 @@ Decision sets: ``explicit:<path>``, ``mset:<d>:<m>``,
 ``multitask:<d1>,<d2>,...``, ``dag:<path>``, ``dag-layered:<d>:<N>``.
 
 Learners: ``hedge``, ``hedge-dag``, ``omd-mset``, ``omd-dilated``,
-``omd-entropy-dag``, each optionally ``:eta=<float>``.
+``omd-dilated:numeric=1``, ``omd-entropy-dag``, each optionally
+``:eta=<float>``.  ``hedge`` runs weight pushing on m-sets, multitask sets
+and DAG sets and enumerates only explicit sets; ``hedge-dag`` and
+``omd-dilated`` (equal to path Hedge by iterate equivalence) run the same
+weight pushing on DAG sets only; ``omd-dilated:numeric=1`` solves each
+dilated-entropy proximal step by the KKT Newton oracle instead.
 
 Adversaries: ``universal``, ``mset-lb``, ``hedge-killer``,
 ``multitask-phases``, ``dag-layered:<d>:<N>``, ``constant:<path>`` (or
@@ -27,7 +32,8 @@ import numpy as np
 from . import adversaries as adv
 from .domain import (DagPathSet, ExplicitSet, MSet, MultitaskSet, load_dag)
 from .errors import ComblabError, InternalConsistencyError, PreconditionError, RangeError
-from .learners import (DagHedge, DilatedOmd, EntropyDagOmd, MSetOmd,
+from .instances import hypercube_set
+from .learners import (DilatedOmd, EntropyDagOmd, MSetOmd, PathHedge,
                        dag_entropy_rate, default_learning_rate, make_hedge,
                        mset_omd_rate)
 from .sampling import RngStream
@@ -136,19 +142,18 @@ def build_learner(spec, decision_set, horizon, eta_override=None):
     if name == "hedge":
         learner = make_hedge(decision_set,
                              eta or default_learning_rate(decision_set, horizon))
-    elif name == "hedge-dag":
-        learner = DagHedge(decision_set,
-                           eta or default_learning_rate(decision_set, horizon))
+    elif name in ("hedge-dag", "omd-dilated"):
+        if not isinstance(decision_set, DagPathSet):
+            raise PreconditionError(f"{name} needs a dag decision set")
+        numeric = name == "omd-dilated" and kwargs.get("numeric") == "1"
+        learner = (DilatedOmd if numeric else PathHedge)(
+            decision_set, eta or default_learning_rate(decision_set, horizon))
     elif name == "omd-mset":
         if not isinstance(decision_set, MSet):
             raise PreconditionError("omd-mset needs an mset decision set")
         learner = MSetOmd(decision_set,
                           eta or mset_omd_rate(decision_set.dimension,
                                                decision_set.m, horizon))
-    elif name == "omd-dilated":
-        learner = DilatedOmd(decision_set,
-                             eta or default_learning_rate(decision_set, horizon),
-                             numeric=kwargs.get("numeric") == "1")
     elif name == "omd-entropy-dag":
         learner = EntropyDagOmd(decision_set,
                                 eta or dag_entropy_rate(decision_set, horizon))
@@ -311,6 +316,10 @@ def run_experiment(config, decision_set=None):
     Hedge-family learners are additionally checked against the classical
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating
     it indicates an implementation bug and raises.
+
+    A ``ComblabError`` raised in a round propagates as the same object,
+    with its message prefixed by the trial and round, which are also set
+    as its ``trial`` and ``round`` attributes.
     """
     dset = decision_set if decision_set is not None else build_set(config.set_spec)
 
@@ -348,8 +357,9 @@ def run_experiment(config, decision_set=None):
                     exp_loss_hist[i, t - 1] = expected
                     learner.absorb(y)
             except ComblabError as err:
-                raise type(err)(
-                    f"trial {trial}, round {t}: {err}") from err
+                err.args = (f"trial {trial}, round {t}: {err}",)
+                err.trial, err.round = trial, t
+                raise
             total_loss_vec += y
             cum_best[t - 1] = dset.best_vertex(total_loss_vec)[1]
         for i, learner in enumerate(learners):
@@ -405,12 +415,13 @@ def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
     """Run numeric-KKT dilated-entropy mirror descent and weight-pushing
     Hedge on the same stream; report the per-round sup-norm policy gap.
 
-    The mirror-descent side deliberately avoids the weight-pushing fast
-    path so the comparison is non-circular.  Solver failures propagate.
+    The mirror-descent side solves each proximal step numerically, apart
+    from weight pushing, so the comparison is non-circular.  Solver
+    failures propagate.
     """
     dset = DagPathSet(dag)
-    omd = DilatedOmd(dset, eta, numeric=True)
-    hedge = DagHedge(dset, eta)
+    omd = DilatedOmd(dset, eta)
+    hedge = PathHedge(dset, eta)
     gaps = np.zeros(horizon)
     for t in range(1, horizon + 1):
         y = stream.loss(t)
@@ -425,7 +436,7 @@ def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 def _demo_universal(seed):
-    dset = _hypercube(4)
+    dset = hypercube_set(4)
     cfg = ExperimentConfig("explicit:<hypercube-4>", ["hedge"], "universal",
                            horizon=4000, trials=200, seed=seed)
     res = run_experiment(cfg, decision_set=dset)
@@ -523,7 +534,3 @@ def lb_demo(theorem_id, seed=0):
             f"unknown demo {theorem_id!r}; choose from {sorted(LB_DEMOS)}")
     return LB_DEMOS[theorem_id](seed)
 
-
-def _hypercube(d):
-    import itertools
-    return ExplicitSet(list(itertools.product((0, 1), repeat=d)))

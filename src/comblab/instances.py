@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .domain import Dag, DagPathSet
+from .domain import Dag
 
 
 def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
@@ -27,7 +27,6 @@ def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
         layers.append([nxt])
         n_vertices = nxt + 1
         edges = set()
-        ok = True
         for a_layer, b_layer in zip(layers[:-1], layers[1:]):
             for b in b_layer:
                 edges.add((int(gen.choice(a_layer)), b))
@@ -46,8 +45,7 @@ def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
             continue
         if max_paths is not None and dag.path_count() > max_paths:
             continue
-        if ok:
-            return dag
+        return dag
     raise RuntimeError("could not draw a DAG within the budgets")
 
 
@@ -124,6 +122,3 @@ def hypercube_set(d):
     import itertools
     return ExplicitSet(list(itertools.product((0, 1), repeat=d)))
 
-
-def as_path_set(dag):
-    return DagPathSet(dag)

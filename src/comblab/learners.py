@@ -1,26 +1,29 @@
-"""Online learners: Hedge in several exact representations, and mirror
-descent with the three regularizers.
+"""Online learners: Hedge by weight pushing or by explicit weights, and
+mirror descent with the three regularizers.
 
 Every learner follows the predict-then-observe protocol: ``propose()``
 returns the mean policy for the current round, ``sample(rng)`` draws a
 vertex consistent with it, and ``absorb(y)`` folds the observed loss into
 the state.  ``step(y)`` is the common propose-then-absorb convenience.
 
-Hedge is computed exactly in whichever representation fits the decision
-set: an explicit weight per vertex, weight pushing over a DAG, a
-select/skip DAG embedding for m-sets (the path bijection preserves losses,
-so the induced distribution IS Hedge over the m-set), or per-block weights
-for multitask sets.  Weight pushing is one log-sum-exp
-:meth:`Dag.semiring_pass` over the graph's topological levels, so a round
-costs O(|E|) work in O(levels) numpy calls.  All weight arithmetic is done
-in log space with max-subtraction so large eta*T never overflows.
+m-sets (the select/skip DAG), multitask products (a chain of parallel-edge
+bundles) and DAG path sets all have vertices that are the s-t paths of a
+DAG, with path losses equal to vertex losses (``path_embedding``).  Hedge
+over them is one learner, :class:`PathHedge`: weight pushing with one
+log-sum-exp :meth:`Dag.semiring_pass` over the graph's topological levels,
+O(|E|) work in O(levels) numpy calls per round.  Mirror descent with
+dilated entropy has the same iterates, so the ``omd-dilated`` spec runs it
+too; :class:`DilatedOmd` is the numeric KKT route kept to certify that.
+Other sets use :class:`ExplicitHedge`, one weight per enumerated vertex.
+All weight arithmetic is done in log space with max-subtraction so large
+eta*T never overflows.
 """
 
 import math
 
 import numpy as np
 
-from .domain import Dag, DagPathSet, MSet, MultitaskSet
+from .domain import DagPathSet, MSet
 from .errors import PreconditionError, ValidationError
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_kkt_residual,
                        sinkhorn_flow_projection)
@@ -118,7 +121,7 @@ class Learner:
 
 
 # ---------------------------------------------------------------------------
-# Hedge variants
+# Hedge
 # ---------------------------------------------------------------------------
 
 class ExplicitHedge(Learner):
@@ -127,10 +130,9 @@ class ExplicitHedge(Learner):
     name = "hedge"
     hedge_family = True
 
-    def __init__(self, decision_set, eta, cap=None):
+    def __init__(self, decision_set, eta):
         super().__init__(decision_set, eta)
-        kwargs = {} if cap is None else {"cap": cap}
-        self.vertices = np.asarray(decision_set.enumerate_vertices(**kwargs))
+        self.vertices = np.asarray(decision_set.enumerate_vertices())
         self.cum_loss = np.zeros(self.vertices.shape[0])
         self._dist_cache = None
 
@@ -153,155 +155,52 @@ class ExplicitHedge(Learner):
         return sample_explicit(self.vertices, self.distribution(), rng)
 
 
-class DagHedge(Learner):
-    """Hedge over s-t paths via weight pushing.
+class PathHedge(Learner):
+    """Exact Hedge over a decision set whose vertices are the s-t paths of a
+    DAG (``decision_set.path_embedding``).
 
-    Each round's policy is the edge marginals of one log-sum-exp semiring
-    pass: O(|E|) work in O(levels) numpy calls.
-    """
-
-    name = "hedge-dag"
-    hedge_family = True
-
-    def __init__(self, decision_set, eta, validate=True):
-        if not isinstance(decision_set, DagPathSet):
-            raise PreconditionError("DagHedge needs a DagPathSet")
-        super().__init__(decision_set, eta)
-        self.dag = decision_set.dag
-        self.cum_loss = np.zeros(self.dag.n_edges)
-        self._do_validate = validate
-
-    def _validate(self, y):
-        if self._do_validate:
-            super()._validate(y)
-
-    def _compute_policy(self):
-        return weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
-
-    def _absorb(self, y):
-        self.cum_loss += y
-
-    def sample(self, rng):
-        return sample_path(self.dag, self.propose(), rng)
-
-
-def mset_selection_dag(d, m):
-    """Select/skip DAG whose s-t paths are in bijection with m-subsets of d.
-
-    Level i vertex state is the count of coordinates selected so far; the
-    edge from level i taken upward carries coordinate i.  Returns
-    ``(dag, coordinate_of_edge)`` with -1 marking skip edges.
-    """
-    vid = {}
-    for i in range(d + 1):
-        lo = max(0, m - (d - i))
-        hi = min(i, m)
-        for j in range(lo, hi + 1):
-            vid[(i, j)] = len(vid)
-    edges = []
-    coord = []
-    for i in range(d):
-        lo = max(0, m - (d - i))
-        hi = min(i, m)
-        for j in range(lo, hi + 1):
-            if (i + 1, j) in vid:
-                edges.append((vid[(i, j)], vid[(i + 1, j)]))
-                coord.append(-1)
-            if (i + 1, j + 1) in vid:
-                edges.append((vid[(i, j)], vid[(i + 1, j + 1)]))
-                coord.append(i)
-    dag = Dag(len(vid), edges, vid[(0, 0)], vid[(d, m)])
-    return dag, np.array(coord, dtype=int)
-
-
-class MSetHedge(Learner):
-    """Exact Hedge over an m-set, computed on the selection DAG.
-
-    Paths of the selection DAG correspond one-to-one to m-subsets and path
-    losses equal subset losses, so the induced distribution coincides with
-    vertex-Hedge while each round costs O(d*m) instead of O(|X|).
+    Path losses equal vertex losses under the embedding, so exponential
+    weights over paths are Hedge over the set.  The learner keeps one
+    cumulative loss per edge; each round's policy is the coordinate sum of
+    the edge marginals of one weight-pushing pass, so a round costs O(|E|)
+    work in O(levels) numpy calls however many vertices the set has.
     """
 
     name = "hedge"
     hedge_family = True
 
     def __init__(self, decision_set, eta):
-        if not isinstance(decision_set, MSet):
-            raise PreconditionError("MSetHedge needs an MSet")
+        if decision_set.path_embedding is None:
+            raise PreconditionError("PathHedge needs a set of DAG paths")
         super().__init__(decision_set, eta)
-        self.d = decision_set.dimension
-        self.m = decision_set.m
-        self.dag, self._coord = mset_selection_dag(self.d, self.m)
-        self._select = np.flatnonzero(self._coord >= 0)
-        self._select_coord = self._coord[self._select]
+        self.dag, coord = decision_set.path_embedding
+        self._edges = np.flatnonzero(coord >= 0)
+        self._coords = coord[self._edges]
         self.cum_loss = np.zeros(self.dag.n_edges)
         self._marg = None  # edge marginals behind the cached policy
 
-    def _embed(self, y):
-        emb = np.zeros(self.dag.n_edges)
-        emb[self._select] = y[self._select_coord]
-        return emb
-
     def _compute_policy(self):
         self._marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
-        return np.bincount(self._select_coord, weights=self._marg[self._select],
-                           minlength=self.d)
+        return np.bincount(self._coords, weights=self._marg[self._edges],
+                           minlength=self.decision_set.dimension)
 
     def _absorb(self, y):
-        self.cum_loss += self._embed(y)
+        self.cum_loss[self._edges] += y[self._coords]
 
     def sample(self, rng):
         self.propose()  # sets the edge marginals of the current round
         path = sample_path(self.dag, self._marg, rng)
-        x = np.zeros(self.d)
-        on = self._select[path[self._select] > 0]
-        x[self._coord[on]] = 1.0
-        return x
-
-
-class MultitaskHedge(Learner):
-    """Hedge over a product of expert blocks; weights factorize exactly."""
-
-    name = "hedge"
-    hedge_family = True
-
-    def __init__(self, decision_set, eta):
-        if not isinstance(decision_set, MultitaskSet):
-            raise PreconditionError("MultitaskHedge needs a MultitaskSet")
-        super().__init__(decision_set, eta)
-        self.cum_loss = np.zeros(decision_set.dimension)
-
-    def _block_dist(self, sl):
-        s = -self.eta * self.cum_loss[sl]
-        s = s - s.max()
-        w = np.exp(s)
-        return w / w.sum()
-
-    def _compute_policy(self):
-        policy = np.empty(self.decision_set.dimension)
-        for sl in self.decision_set.block_slices:
-            policy[sl] = self._block_dist(sl)
-        return policy
-
-    def _absorb(self, y):
-        self.cum_loss += y
-
-    def sample(self, rng):
         x = np.zeros(self.decision_set.dimension)
-        gen = rng.generator
-        for sl in self.decision_set.block_slices:
-            p = self._block_dist(sl)
-            x[sl.start + gen.choice(p.size, p=p)] = 1.0
+        x[self._coords[path[self._edges] > 0]] = 1.0
         return x
 
 
-def make_hedge(decision_set, eta, cap=None):
-    """Exact Hedge in the representation suited to the decision set."""
-    if isinstance(decision_set, MSet):
-        return MSetHedge(decision_set, eta)
-    if isinstance(decision_set, MultitaskSet):
-        return MultitaskHedge(decision_set, eta)
-    return ExplicitHedge(decision_set, eta, cap=cap)
+def make_hedge(decision_set, eta):
+    """Exact Hedge: weight pushing when the set is a set of DAG paths,
+    one weight per enumerated vertex otherwise."""
+    if decision_set.path_embedding is not None:
+        return PathHedge(decision_set, eta)
+    return ExplicitHedge(decision_set, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +217,13 @@ class MSetOmd(Learner):
 
     name = "omd-mset"
 
-    def __init__(self, decision_set, eta, method="newton"):
+    def __init__(self, decision_set, eta):
         if not isinstance(decision_set, MSet):
             raise PreconditionError("MSetOmd needs an MSet")
         super().__init__(decision_set, eta)
         self.m = decision_set.m
         self.iterate = np.full(decision_set.dimension,
                                self.m / decision_set.dimension)
-        self.method = method
         self._lam = 0.0
         self._last = None
 
@@ -335,7 +233,7 @@ class MSetOmd(Learner):
     def _absorb(self, y):
         step = self.eta * y
         new, self._lam = mset_prox(self.iterate, step, self.m,
-                                   lam_init=self._lam, method=self.method)
+                                   lam_init=self._lam)
         self._last = (self.iterate, step, new, self._lam)
         self.iterate = new
 
@@ -350,79 +248,32 @@ class MSetOmd(Learner):
         return sample_mset(self.iterate, self.m, rng)
 
 
-class MultitaskOmd(Learner):
-    """Negative-entropy mirror descent on a product of expert simplices.
+class DilatedOmd(Learner):
+    """Mirror descent with dilated entropy on a flow polytope, each proximal
+    step solved by the damped-Newton KKT oracle.
 
-    The proximal step is closed-form: multiply each block's coordinates by
-    ``exp(-eta * y)`` and renormalise the block.  On products of simplices
-    this coincides with per-block Hedge, which the tests assert.
+    Its iterates equal path Hedge's (iterate equivalence), so the
+    ``omd-dilated`` spec runs :class:`PathHedge`; this class is the
+    independent numeric route that the equivalence checker compares it with.
     """
 
-    name = "omd-multitask"
+    name = "omd-dilated"
 
     def __init__(self, decision_set, eta):
-        if not isinstance(decision_set, MultitaskSet):
-            raise PreconditionError("MultitaskOmd needs a MultitaskSet")
+        if not isinstance(decision_set, DagPathSet):
+            raise PreconditionError("DilatedOmd needs a DagPathSet")
         super().__init__(decision_set, eta)
-        self.iterate = np.concatenate(
-            [np.full(b, 1.0 / b) for b in decision_set.block_sizes])
+        self.dag = decision_set.dag
+        self.reg = DilatedEntropy(self.dag)
+        self.iterate = uniform_path_flow(self.dag)
 
     def _compute_policy(self):
         return self.iterate.copy()
 
     def _absorb(self, y):
-        scaled = self.iterate * np.exp(-self.eta * y)
-        for sl in self.decision_set.block_slices:
-            scaled[sl] /= scaled[sl].sum()
-        self.iterate = scaled
-
-    def sample(self, rng):
-        x = np.zeros(self.decision_set.dimension)
-        gen = rng.generator
-        for sl in self.decision_set.block_slices:
-            p = self.iterate[sl]
-            x[sl.start + gen.choice(p.size, p=p / p.sum())] = 1.0
-        return x
-
-
-class DilatedOmd(Learner):
-    """Mirror descent with dilated entropy on a flow polytope.
-
-    The fast path exploits iterate equivalence with path-space Hedge and
-    runs weight pushing in O(|E|) per round.  ``numeric=True`` instead
-    solves each proximal step with the damped-Newton KKT oracle; the two
-    must agree, and the equivalence checker runs the numeric side so the
-    comparison is non-circular.
-    """
-
-    name = "omd-dilated"
-
-    def __init__(self, decision_set, eta, numeric=False, tol=1e-10):
-        if not isinstance(decision_set, DagPathSet):
-            raise PreconditionError("DilatedOmd needs a DagPathSet")
-        super().__init__(decision_set, eta)
-        self.dag = decision_set.dag
-        self.numeric = numeric
-        self.tol = tol
-        self.reg = DilatedEntropy(self.dag)
-        if numeric:
-            self.iterate = uniform_path_flow(self.dag)
-        else:
-            self.cum_loss = np.zeros(self.dag.n_edges)
-
-    def _compute_policy(self):
-        if self.numeric:
-            return self.iterate.copy()
-        return weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
-
-    def _absorb(self, y):
-        if self.numeric:
-            linear = self.eta * y - self.reg.grad(self.iterate)
-            self.iterate, _ = flow_prox_newton(self.dag, self.reg,
-                                               self.iterate, linear,
-                                               tol=self.tol)
-        else:
-            self.cum_loss += y
+        linear = self.eta * y - self.reg.grad(self.iterate)
+        self.iterate, _ = flow_prox_newton(self.dag, self.reg, self.iterate,
+                                           linear)
 
     def sample(self, rng):
         return sample_path(self.dag, self.propose(), rng)

@@ -17,8 +17,8 @@ from .harness import ExperimentConfig, csv_text, run_experiment
 from .instances import (diamond_dag, hypercube_set, random_feasible_loss,
                         random_interior_flow, random_layered_dag,
                         random_mset_interior, random_span_direction)
-from .learners import (DagHedge, EntropyDagOmd, ExplicitHedge, MSetOmd,
-                       MultitaskHedge, shift_losses)
+from .learners import (EntropyDagOmd, ExplicitHedge, MSetOmd, PathHedge,
+                       shift_losses)
 from .proximal import flow_prox_newton
 from .regularizers import (DilatedEntropy, MSetRegularizer, NegativeEntropy,
                            path_entropy_sum, uniform_path_flow)
@@ -244,7 +244,7 @@ def prop_dag_hedge_vs_explicit(seed):
         dag = random_layered_dag(rng, max_edges=14, max_paths=50)
         dset = DagPathSet(dag)
         eta = 0.4
-        fast = DagHedge(dset, eta)
+        fast = PathHedge(dset, eta)
         slow = ExplicitHedge(dset, eta)
         for _ in range(50):
             y = random_feasible_loss(dset, rng)
@@ -258,7 +258,7 @@ def prop_multitask_factorization(seed):
     rng = RngStream(seed, 302)
     dset = MultitaskSet([2, 3, 2])
     eta = 0.5
-    block = MultitaskHedge(dset, eta)
+    block = PathHedge(dset, eta)
     flat = ExplicitHedge(dset, eta)
     margins = []
     for _ in range(60):

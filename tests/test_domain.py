@@ -5,7 +5,7 @@ import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                parallel_dag, random_feasible_loss,
                                random_layered_dag)
-from comblab.learners import mset_selection_dag
+from comblab.domain import mset_selection_dag
 from comblab.sampling import RngStream
 
 
@@ -317,7 +317,7 @@ def test_weight_pushing_matches_explicit_hedge_on_pass_dags():
     rng = RngStream(43, 0)
     for dag in _pass_test_dags():
         dset = cl.DagPathSet(dag)
-        fast, slow = cl.DagHedge(dset, 0.7), cl.ExplicitHedge(dset, 0.7)
+        fast, slow = cl.PathHedge(dset, 0.7), cl.ExplicitHedge(dset, 0.7)
         for _ in range(20):
             y = random_feasible_loss(dset, rng)
             assert np.max(np.abs(fast.step(y) - slow.step(y))) <= 1e-12

@@ -47,8 +47,10 @@ def test_build_learner_specs_and_rates():
     learner = cl.build_learner("omd-mset", dset, 100)
     assert learner.eta == pytest.approx(cl.mset_omd_rate(8, 2, 100))
     dd = cl.DagPathSet(diamond_dag())
-    assert isinstance(cl.build_learner("hedge-dag", dd, 10), cl.DagHedge)
-    assert isinstance(cl.build_learner("omd-dilated", dd, 10), cl.DilatedOmd)
+    assert isinstance(cl.build_learner("hedge-dag", dd, 10), cl.PathHedge)
+    assert isinstance(cl.build_learner("omd-dilated", dd, 10), cl.PathHedge)
+    assert isinstance(cl.build_learner("omd-dilated:numeric=1", dd, 10),
+                      cl.DilatedOmd)
     assert isinstance(cl.build_learner("omd-entropy-dag", dd, 10),
                       cl.EntropyDagOmd)
     with pytest.raises(cl.PreconditionError):
@@ -173,6 +175,90 @@ def test_trial_error_context():
             cl.run_experiment(cfg, decision_set=dset)
     finally:
         hz.build_adversary = orig
+
+
+def test_trial_error_keeps_the_validation_report(monkeypatch):
+    import comblab.harness as hz
+
+    class Infeasible:
+        def loss(self, t):
+            return np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(hz, "build_adversary",
+                        lambda *a, **k: (lambda rng: Infeasible()))
+    cfg = cl.ExperimentConfig("mset:6:2", ["hedge"], "constant:zero",
+                              horizon=4)
+    with pytest.raises(cl.ValidationError, match="trial 0, round 1") as info:
+        cl.run_experiment(cfg)
+    err = info.value
+    assert err.report is not None and err.report.value == 2.0
+    assert (err.trial, err.round) == (0, 1)
+
+
+def test_trial_error_keeps_the_solver_residual(monkeypatch):
+    import comblab.learners as ln
+
+    def failing(*args, **kwargs):
+        raise cl.SolverFailure("m-set prox did not converge", residual=0.25,
+                               iterations=500)
+
+    monkeypatch.setattr(ln, "mset_prox", failing)
+    cfg = cl.ExperimentConfig("mset:6:2", ["omd-mset"], "mset-lb", horizon=4,
+                              trials=2)
+    with pytest.raises(cl.SolverFailure, match="trial 0, round 1") as info:
+        cl.run_experiment(cfg)
+    err = info.value
+    assert (err.residual, err.iterations) == (0.25, 500)
+    assert (err.trial, err.round) == (0, 1)
+
+
+def test_every_learner_runs_or_fails_before_round_1(tmp_path):
+    sets = ["mset:8:2", "multitask:2,3", "dag-layered:16:32",
+            f"explicit:{write_hypercube(tmp_path, 3)}"]
+    learners = ["hedge", "hedge-dag", "omd-mset", "omd-dilated",
+                "omd-dilated:numeric=1", "omd-entropy-dag"]
+    ran = set()
+    for set_spec in sets:
+        dset = cl.build_set(set_spec)
+        for spec in learners:
+            try:
+                cl.build_learner(spec, dset, 3)
+            except cl.PreconditionError:
+                continue
+            res = cl.run_experiment(cl.ExperimentConfig(
+                set_spec, [spec], "gaussian", horizon=3, seed=1),
+                decision_set=dset)
+            assert res.ledgers[spec][0].horizon == 3
+            ran.add((set_spec.split(":")[0], spec))
+    dag_only = {("dag-layered", spec) for spec in learners if spec != "omd-mset"}
+    assert ran == dag_only | {("mset", "hedge"), ("mset", "omd-mset"),
+                              ("multitask", "hedge"), ("explicit", "hedge")}
+
+
+def test_hedge_runs_on_a_dag_beyond_the_enumeration_cap():
+    spec = "dag-layered:128:16777216"
+    assert cl.build_set(spec).count() == 16_777_216
+    res = cl.run_experiment(cl.ExperimentConfig(
+        spec, ["hedge", "hedge-dag"], "gaussian", horizon=3, seed=2))
+    hedge, dag = res.ledgers["hedge"][0], res.ledgers["hedge-dag"][0]
+    assert hedge.horizon == 3
+    assert np.array_equal(hedge.loss, dag.loss)
+
+
+def test_mset_hedge_builds_its_selection_dag_once(monkeypatch):
+    import comblab.domain as dm
+
+    built = []
+    build = dm.mset_selection_dag
+
+    def counted(d, m):
+        built.append((d, m))
+        return build(d, m)
+
+    monkeypatch.setattr(dm, "mset_selection_dag", counted)
+    cl.run_experiment(cl.ExperimentConfig("mset:8:2", ["hedge"], "mset-lb",
+                                          horizon=5, trials=3))
+    assert built == [(8, 2)]
 
 
 # ---------------------------------------------------------------------------

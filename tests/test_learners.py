@@ -6,7 +6,8 @@ import pytest
 import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                random_feasible_loss, random_layered_dag)
-from comblab.learners import mset_selection_dag, weight_pushing_marginals
+from comblab.domain import mset_selection_dag
+from comblab.learners import weight_pushing_marginals
 from comblab.proximal import _solve_coords_numpy, mset_prox, mset_prox_numpy
 from comblab.sampling import RngStream, sample_path
 
@@ -55,7 +56,7 @@ def test_hedge_two_experts_closed_form():
 
 def test_dag_hedge_matches_explicit_on_diamond():
     dset = cl.DagPathSet(diamond_dag())
-    fast, slow = cl.DagHedge(dset, 1.0), cl.ExplicitHedge(dset, 1.0)
+    fast, slow = cl.PathHedge(dset, 1.0), cl.ExplicitHedge(dset, 1.0)
     y = np.array([0.5, 0.0, 0.5, 0.0])  # top path penalised by 1 total
     fast.step(y)
     slow.step(y)
@@ -69,7 +70,7 @@ def test_dag_hedge_matches_explicit_random():
     for _ in range(6):
         dag = random_layered_dag(rng, max_edges=14, max_paths=50)
         dset = cl.DagPathSet(dag)
-        fast, slow = cl.DagHedge(dset, 0.6), cl.ExplicitHedge(dset, 0.6)
+        fast, slow = cl.PathHedge(dset, 0.6), cl.ExplicitHedge(dset, 0.6)
         for _ in range(50):
             y = random_feasible_loss(dset, rng)
             assert np.max(np.abs(fast.step(y) - slow.step(y))) <= 1e-12
@@ -78,7 +79,7 @@ def test_dag_hedge_matches_explicit_random():
 def test_mset_hedge_matches_explicit():
     rng = RngStream(22, 0)
     dset = cl.MSet(7, 3)
-    fast, slow = cl.MSetHedge(dset, 0.8), cl.ExplicitHedge(dset, 0.8)
+    fast, slow = cl.PathHedge(dset, 0.8), cl.ExplicitHedge(dset, 0.8)
     for _ in range(60):
         y = random_feasible_loss(dset, rng)
         assert np.max(np.abs(fast.step(y) - slow.step(y))) <= 1e-12
@@ -86,7 +87,7 @@ def test_mset_hedge_matches_explicit():
 
 def test_mset_hedge_no_overflow_at_large_eta_t():
     dset = cl.MSet(12, 3)
-    learner = cl.MSetHedge(dset, 5.0)
+    learner = cl.PathHedge(dset, 5.0)
     y = np.zeros(12)
     y[0] = 1.0
     for _ in range(500):
@@ -133,7 +134,7 @@ def _loop_weight_pushing(dag, log_w):
 def test_mset_hedge_matches_loop_weight_pushing_under_attack():
     d, m, horizon = 64, 8, 200
     eta = 2.0 * math.sqrt(m * math.log(d / m) / horizon)
-    learner = cl.MSetHedge(cl.MSet(d, m), eta)
+    learner = cl.PathHedge(cl.MSet(d, m), eta)
     dag, coord = mset_selection_dag(d, m)
     select = coord >= 0
     killer = cl.HedgeKillerStream(d, m, horizon, eta)
@@ -162,7 +163,7 @@ def test_sampled_mset_hedge_pushes_weights_once_per_round(monkeypatch):
 def test_mset_hedge_samples_from_the_round_marginals():
     rng = RngStream(24, 0)
     dset = cl.MSet(8, 2)
-    learner = cl.MSetHedge(dset, 0.9)
+    learner = cl.PathHedge(dset, 0.9)
     dag, coord = mset_selection_dag(8, 2)
     for t in range(60):
         learner.propose()
@@ -178,24 +179,10 @@ def test_mset_hedge_samples_from_the_round_marginals():
 def test_multitask_hedge_factorizes():
     rng = RngStream(23, 0)
     dset = cl.MultitaskSet([2, 3, 2])
-    block, flat = cl.MultitaskHedge(dset, 0.5), cl.ExplicitHedge(dset, 0.5)
+    block, flat = cl.PathHedge(dset, 0.5), cl.ExplicitHedge(dset, 0.5)
     for _ in range(50):
         y = random_feasible_loss(dset, rng)
         assert np.max(np.abs(block.step(y) - flat.step(y))) <= 1e-12
-
-
-def test_multitask_omd_equals_blockwise_hedge():
-    # The closed-form multiplicative step on simplex blocks reproduces the
-    # per-block exponential-weights distribution round for round.
-    rng = RngStream(30, 0)
-    dset = cl.MultitaskSet([2, 4, 3])
-    omd = cl.MultitaskOmd(dset, 0.6)
-    hedge = cl.MultitaskHedge(dset, 0.6)
-    for _ in range(60):
-        y = random_feasible_loss(dset, rng)
-        assert np.max(np.abs(omd.step(y) - hedge.step(y))) <= 1e-12
-        for sl in dset.block_slices:
-            assert omd.iterate[sl].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hedge_rejects_infeasible_loss():
@@ -301,8 +288,8 @@ def test_omd_iterates_stay_interior_under_attack():
 def test_dilated_fast_path_equals_hedge_on_diamond():
     dag = diamond_dag()
     dset = cl.DagPathSet(dag)
-    omd = cl.DilatedOmd(dset, 1.0)
-    hedge = cl.DagHedge(dset, 1.0)
+    omd = cl.build_learner("omd-dilated:eta=1.0", dset, 5)
+    hedge = cl.PathHedge(dset, 1.0)
     y = np.array([0.5, 0.0, 0.5, 0.0])
     for _ in range(5):
         assert np.max(np.abs(omd.step(y) - hedge.step(y))) == 0.0
@@ -312,8 +299,8 @@ def test_dilated_numeric_matches_fast_path():
     rng = RngStream(26, 0)
     dag = diamond_dag()
     dset = cl.DagPathSet(dag)
-    numeric = cl.DilatedOmd(dset, 1.0, numeric=True)
-    fast = cl.DilatedOmd(dset, 1.0)
+    numeric = cl.DilatedOmd(dset, 1.0)
+    fast = cl.build_learner("omd-dilated:eta=1.0", dset, 25)
     for _ in range(25):
         y = random_feasible_loss(dset, rng)
         gap = np.max(np.abs(numeric.step(y) - fast.step(y)))
@@ -398,8 +385,9 @@ def test_every_dag_learner_iterate_is_a_flow():
     rng = RngStream(29, 0)
     dag = random_layered_dag(rng, max_edges=12)
     dset = cl.DagPathSet(dag)
-    learners = [cl.DagHedge(dset, 0.5), cl.DilatedOmd(dset, 0.5),
-                cl.DilatedOmd(dset, 0.5, numeric=True),
+    learners = [cl.PathHedge(dset, 0.5),
+                cl.build_learner("omd-dilated:eta=0.5", dset, 20),
+                cl.DilatedOmd(dset, 0.5),
                 cl.EntropyDagOmd(dset, 0.5)]
     for _ in range(20):
         y = random_feasible_loss(dset, rng)

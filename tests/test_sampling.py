@@ -174,7 +174,7 @@ def test_mset_hedge_sampler_matches_marginals():
     rng = RngStream(10, 0)
     n = 40_000
     dset = cl.MSet(6, 2)
-    learner = cl.MSetHedge(dset, 0.9)
+    learner = cl.PathHedge(dset, 0.9)
     learner.step(np.array([0.5, -0.3, 0.2, 0.0, -0.1, 0.1]))
     policy = learner.propose()
     acc = np.zeros(6)
