@@ -260,14 +260,26 @@ class Dag:
 
     def vertex_loads(self, x):
         """Outflow sums ``x[v] = sum of x over edges leaving v`` (sink gets 1)."""
-        x = np.asarray(x, dtype=float)
-        loads = np.zeros(self.n_vertices)
-        for v in range(self.n_vertices):
-            if v == self.sink:
-                loads[v] = 1.0
-            elif len(self.out_edges[v]):
-                loads[v] = x[self.out_edges[v]].sum()
+        loads = np.bincount(self.compiled.tails, np.asarray(x, dtype=float),
+                            self.n_vertices)
+        loads[self.sink] = 1.0
         return loads
+
+    @functools.cached_property
+    def incidence(self):
+        """Signed incidence matrix ``B`` (+1 at an edge's tail, -1 at its
+        head); a unit s-t flow has ``B x = b = e_source - e_sink``."""
+        inc = np.zeros((self.n_vertices, self.n_edges))
+        inc[self.compiled.tails, np.arange(self.n_edges)] = 1.0
+        inc[self.compiled.heads, np.arange(self.n_edges)] = -1.0
+        return inc
+
+    def flow_excess(self, x):
+        """``B x - b``, the conservation error at every vertex."""
+        excess = self.incidence @ np.asarray(x, dtype=float)
+        excess[self.source] -= 1.0
+        excess[self.sink] += 1.0
+        return excess
 
 
 def load_dag(path):
@@ -291,18 +303,13 @@ def load_dag(path):
 def flow_check(dag, x):
     """Max violation of the unit s-t flow constraints at ``x``.
 
-    Returns ``(ok, residual)`` where the residual is the largest of: source
-    outflow error, sink inflow error, conservation error at any internal
-    vertex, and box violation on any edge.  ``ok`` iff residual <= 1e-9.
+    Returns ``(ok, residual)`` where the residual is the largest of the
+    conservation errors ``|B x - b|`` at every vertex and the box violation
+    on any edge.  ``ok`` iff residual <= 1e-9.
     """
     x = np.asarray(x, dtype=float)
-    res = abs(x[dag.out_edges[dag.source]].sum() - 1.0)
-    res = max(res, abs(x[dag.in_edges[dag.sink]].sum() - 1.0))
-    for v in range(dag.n_vertices):
-        if v in (dag.source, dag.sink):
-            continue
-        res = max(res, abs(x[dag.in_edges[v]].sum() - x[dag.out_edges[v]].sum()))
-    res = max(res, float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
+    res = max(float(np.max(np.abs(dag.flow_excess(x)))),
+              float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
     return res <= FLOW_TOL, res
 
 

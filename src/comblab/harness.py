@@ -230,7 +230,7 @@ def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
         scale = float(kwargs.get("scale", 0.9))
         return lambda rng: adv.GaussianFeasibleStream(decision_set, horizon,
                                                       rng, scale=scale)
-    raise PreconditionError(f"unknown adversary spec {spec!r}")
+    raise PreconditionError(f"unknown adversary spec {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +317,31 @@ def run_experiment(config, decision_set=None):
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating
     it indicates an implementation bug and raises.
 
-    A ``ComblabError`` raised in a round propagates as the same object,
-    with its message prefixed by the trial and round, which are also set
-    as its ``trial`` and ``round`` attributes.
+    A ``ComblabError`` raised in a round, or in building a trial (round 0),
+    propagates as the same object, with its message prefixed by the trial
+    and round, which are also set as its ``trial`` and ``round`` attributes.
     """
     dset = decision_set if decision_set is not None else build_set(config.set_spec)
 
-    # Building a learner draws no randomness, so the one built to read the
-    # first learner's rate plays in trial 0.
-    first = build_learner(config.learner_specs[0], dset, config.horizon,
-                          config.eta)
-    adv_factory = build_adversary(config.adversary_spec, dset, config.horizon,
-                                  learner_eta=first.eta)
-
+    adv_factory = None
+    n = len(config.learner_specs)
     ledgers = {spec: [] for spec in config.learner_specs}
     for trial in range(config.trials):
-        stream = adv_factory(RngStream(config.seed, trial, 0))
-        learners = [first if trial == 0 and i == 0
-                    else build_learner(spec, dset, config.horizon, config.eta)
-                    for i, spec in enumerate(config.learner_specs)]
-        sample_rngs = [RngStream(config.seed, trial, 1 + i)
-                       for i in range(len(learners))]
-        n = len(learners)
         loss_hist = np.zeros((n, config.horizon))
         exp_loss_hist = np.zeros((n, config.horizon))
         cum_best = np.zeros(config.horizon)
         total_loss_vec = np.zeros(dset.dimension)
-        for t in range(1, config.horizon + 1):
-            try:
+        t = 0
+        try:
+            learners = [build_learner(spec, dset, config.horizon, config.eta)
+                        for spec in config.learner_specs]
+            if adv_factory is None:  # needs the first learner's rate
+                adv_factory = build_adversary(config.adversary_spec, dset,
+                                              config.horizon,
+                                              learner_eta=learners[0].eta)
+            stream = adv_factory(RngStream(config.seed, trial, 0))
+            sample_rngs = [RngStream(config.seed, trial, 1 + i) for i in range(n)]
+            for t in range(1, config.horizon + 1):
                 y = stream.loss(t)
                 for i, learner in enumerate(learners):
                     policy = learner.propose()
@@ -356,12 +353,12 @@ def run_experiment(config, decision_set=None):
                         loss_hist[i, t - 1] = expected
                     exp_loss_hist[i, t - 1] = expected
                     learner.absorb(y)
-            except ComblabError as err:
-                err.args = (f"trial {trial}, round {t}: {err}",)
-                err.trial, err.round = trial, t
-                raise
-            total_loss_vec += y
-            cum_best[t - 1] = dset.best_vertex(total_loss_vec)[1]
+                total_loss_vec += y
+                cum_best[t - 1] = dset.best_vertex(total_loss_vec)[1]
+        except ComblabError as err:
+            err.args = (f"trial {trial}, round {t}: {err}",)
+            err.trial, err.round = trial, t
+            raise
         for i, learner in enumerate(learners):
             cum = np.cumsum(loss_hist[i])
             ledgers[config.learner_specs[i]].append(

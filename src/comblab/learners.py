@@ -27,7 +27,7 @@ from .domain import DagPathSet, MSet
 from .errors import PreconditionError, ValidationError
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_kkt_residual,
                        sinkhorn_flow_projection)
-from .regularizers import DilatedEntropy, NegativeEntropy, uniform_path_flow
+from .regularizers import DilatedEntropy, uniform_path_flow
 from .sampling import sample_explicit, sample_mset, sample_path
 
 
@@ -285,38 +285,27 @@ class EntropyDagOmd(Learner):
     Each observed loss is re-potentialed into an equivalent non-negative
     vector (constant shift along every path), then a multiplicative edge
     update is projected back onto the polytope under negative entropy by
-    coordinate ascent on vertex potentials.  ``solver="newton"`` switches
-    the projection to the KKT oracle for cross-checks.
+    damped Newton on the dual over vertex potentials
+    (:func:`sinkhorn_flow_projection`).
     """
 
     name = "omd-entropy-dag"
 
-    def __init__(self, decision_set, eta, solver="sinkhorn", tol=1e-10):
+    def __init__(self, decision_set, eta):
         if not isinstance(decision_set, DagPathSet):
             raise PreconditionError("EntropyDagOmd needs a DagPathSet")
         super().__init__(decision_set, eta)
         self.dag = decision_set.dag
-        self.solver = solver
-        self.tol = tol
-        self.reg = NegativeEntropy()
-        self.iterate = self._project(np.zeros(self.dag.n_edges),
-                                     uniform_path_flow(self.dag))
-
-    def _project(self, log_w, start):
-        if self.solver == "newton":
-            x, _ = flow_prox_newton(self.dag, self.reg, start, -log_w,
-                                    tol=self.tol)
-            return x
-        x, _ = sinkhorn_flow_projection(self.dag, log_w, tol=self.tol)
-        return x
+        self.iterate, _ = sinkhorn_flow_projection(
+            self.dag, np.zeros(self.dag.n_edges))
 
     def _compute_policy(self):
         return self.iterate.copy()
 
     def _absorb(self, y):
         shifted, _ = shift_losses(self.dag, y)
-        log_w = np.log(self.iterate) - self.eta * shifted
-        self.iterate = self._project(log_w, self.iterate)
+        self.iterate, _ = sinkhorn_flow_projection(
+            self.dag, np.log(self.iterate) - self.eta * shifted)
 
     def sample(self, rng):
         return sample_path(self.dag, self.iterate, rng)

@@ -11,7 +11,7 @@
   the fast weight-pushing path honest, and as the cross-check for the
   entropy projection.
 * :func:`sinkhorn_flow_projection` -- Bregman projection (negative
-  entropy) onto the flow polytope by cyclic coordinate ascent on vertex
+  entropy) onto the flow polytope by damped Newton on the dual over vertex
   potentials.
 """
 
@@ -207,25 +207,14 @@ def mset_prox_kkt_residual(x_new, x_old, step, m, lam):
 def flow_constraints(dag):
     """Equality system ``A x = b`` of the unit-flow polytope.
 
-    Rows: source outflow equals one, conservation at every vertex other
-    than source and sink.  The sink row is implied and omitted so that A
-    has full row rank on connected graphs.
+    Rows, taken from ``dag.incidence``: source outflow equals one, then
+    conservation (inflow minus outflow) at every other vertex but the
+    sink, whose row is implied and omitted so that A has full row rank.
     """
-    rows = []
-    b = []
-    row = np.zeros(dag.n_edges)
-    row[dag.out_edges[dag.source]] = 1.0
-    rows.append(row)
-    b.append(1.0)
-    for v in range(dag.n_vertices):
-        if v in (dag.source, dag.sink):
-            continue
-        row = np.zeros(dag.n_edges)
-        row[dag.in_edges[v]] += 1.0
-        row[dag.out_edges[v]] -= 1.0
-        rows.append(row)
-        b.append(0.0)
-    return np.array(rows), np.array(b)
+    inner = [v for v in range(dag.n_vertices) if v not in (dag.source, dag.sink)]
+    # 0.0 - B, not -B: A holds +0.0, bit for bit the per-vertex rows
+    a_mat = np.vstack([dag.incidence[dag.source], 0.0 - dag.incidence[inner]])
+    return a_mat, np.r_[1.0, np.zeros(len(inner))]
 
 
 def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
@@ -270,63 +259,77 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
             kkt[: dag.n_edges, : dag.n_edges] += 1e-12 * np.eye(dag.n_edges)
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         p = sol[: dag.n_edges]
-        negative = p < 0
-        alpha = 1.0
-        if negative.any():
-            alpha = min(1.0, float(0.995 * np.min(x[negative] / -p[negative])))
-        slope = float(grad @ p)
-        base = objective(x)
-        if abs(slope) > 1e-12 * (1.0 + abs(base)):
-            # Armijo backtracking; below that scale the predicted decrease
-            # drowns in float round-off, so the safeguarded step is taken as is.
-            while alpha > 1e-16:
-                cand = x + alpha * p
-                if cand.min() > 0 and objective(cand) <= base + 1e-4 * alpha * slope:
-                    break
-                alpha *= 0.5
-            if alpha <= 1e-16:
-                raise SolverFailure("flow Newton line search stalled",
-                                    residual=residual, iterations=iteration)
+        neg = p < 0
+        alpha = min(1.0, 0.995 * float(np.min(x[neg] / -p[neg], initial=np.inf)))
+        alpha = _armijo(
+            lambda a: objective(x + a * p) if (x + a * p).min() > 0 else np.inf,
+            objective(x), float(grad @ p), alpha,
+            SolverFailure("flow Newton line search stalled",
+                          residual=residual, iterations=iteration))
         x = x + alpha * p
     raise SolverFailure("flow Newton did not reach tolerance",
                         residual=residual, iterations=max_iter)
 
 
-def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=500):
-    """Negative-entropy Bregman projection of weights ``exp(log_w)`` onto
-    the flow polytope.
+def _armijo(value_at, base, slope, alpha, stalled):
+    """Halve ``alpha`` until ``value_at(alpha)`` makes the Armijo decrease
+    from ``base`` along ``slope``; raise ``stalled`` below 1e-16.  A slope
+    under ``1e-12 * (1 + |base|)`` drowns in round-off: take the step as is.
+    """
+    if abs(slope) > 1e-12 * (1.0 + abs(base)):
+        while not value_at(alpha) <= base + 1e-4 * alpha * slope:
+            alpha *= 0.5
+            if alpha <= 1e-16:
+                raise stalled
+    return alpha
 
-    Coordinate ascent over one potential per vertex (sink pinned to zero):
-    the stationary point has ``x_e = w_e * exp(nu_tail - nu_head)``, and a
-    vertex update restores its own conservation constraint exactly.  Runs
-    in the log domain throughout.
+
+def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
+    """Negative-entropy (KL) Bregman projection of weights ``exp(log_w)``
+    onto the flow polytope.
+
+    The name is that of the problem (matrix scaling on a flow polytope),
+    not of the algorithm: damped Newton on the concave dual over vertex
+    potentials ``nu`` (sink pinned at zero), ``nu_source - sum_e x_e`` with
+    ``x_e = exp(log_w_e + nu_tail - nu_head)``, gradient ``b - B x`` and
+    Hessian ``-B diag(x) B^T``.  It starts at ``nu = -log Z`` (``Z(v)`` the
+    weight of the v-to-sink paths), where every outflow is one; from
+    ``nu = 0``, a step with ``eta * loss`` of some tens can leave a heavy
+    subgraph hanging on light edges, with a singular Newton system.
+
+    Returns ``(x, info)`` with the ``flow_check`` residual and the number
+    of Newton steps; raises :class:`SolverFailure` past ``max_iter``.
     """
     log_w = np.asarray(log_w, dtype=float)
-    nu = np.zeros(dag.n_vertices)
-    order = dag.topological_order()
+    tails, heads = dag.compiled.tails, dag.compiled.heads
+    free = np.arange(dag.n_vertices) != dag.sink
+    inc = dag.incidence[free]
+    log_z, _ = dag.semiring_pass(log_w, np.logaddexp)
+    nu = np.where(np.isfinite(log_z), -log_z, 0.0)
 
-    def lse(values):
-        m = np.max(values)
-        if not np.isfinite(m):
-            return -np.inf
-        return m + np.log(np.sum(np.exp(values - m)))
+    def flow_and_dual(pot):
+        """The flow at potentials ``pot`` and the dual objective, negated."""
+        x = np.exp(log_w + pot[tails] - pot[heads])
+        return x, float(np.add.reduce(x)) - pot[dag.source]
 
-    tails = np.array([u for u, _ in dag.edges])
-    heads = np.array([v for _, v in dag.edges])
-    for sweep in range(max_iter):
-        for v in order:
-            if v == dag.sink:
-                continue
-            out = dag.out_edges[v]
-            b = lse(log_w[out] - nu[heads[out]])
-            if v == dag.source:
-                nu[v] = -b
-            else:
-                a = lse(log_w[dag.in_edges[v]] + nu[tails[dag.in_edges[v]]])
-                nu[v] = 0.5 * (a - b)
-        x = np.exp(log_w + nu[tails] - nu[heads])
-        ok, residual = flow_check(dag, x)
+    x, base = flow_and_dual(nu)
+    residual = np.inf
+    for iteration in range(max_iter):
+        _, residual = flow_check(dag, x)
         if residual <= tol:
-            return x, {"residual": residual, "iterations": sweep}
+            return x, {"residual": residual, "iterations": iteration}
+        grad = dag.flow_excess(x)[free]
+        hess = (inc * x) @ inc.T
+        step = np.zeros(dag.n_vertices)
+        try:
+            step[free] = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:  # every edge at some vertex is zero
+            step[free] = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        nu += _armijo(lambda a: flow_and_dual(nu + a * step)[1], base,
+                      float(grad @ step[free]), 1.0,
+                      SolverFailure("entropy projection line search stalled",
+                                    residual=residual, iterations=iteration)
+                      ) * step
+        x, base = flow_and_dual(nu)
     raise SolverFailure("entropy projection did not reach tolerance",
                         residual=residual, iterations=max_iter)

@@ -1,0 +1,22 @@
+"""The quick demos run end to end.
+
+``demos/01_hedge_basics.py`` and ``demos/02_dag_weight_pushing.py`` take a
+few seconds each.  ``demos/03_mset_separation.py`` (about 45 s) and
+``demos/04_lower_bound_gallery.py`` (a few minutes) are left out of this
+suite for their run time.
+"""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_hedge_basics.py",
+                                  "02_dag_weight_pushing.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out and "FAIL" not in out

@@ -185,6 +185,36 @@ def test_flow_check_examples():
     assert ok
 
 
+def test_flow_constraints_and_loads_match_the_vertex_loops():
+    # In-test copies of the per-vertex loops that the incidence matrix
+    # replaced: A must match bit for bit, loads and residuals in value.
+    from comblab.proximal import flow_constraints
+    rng = RngStream(35, 0)
+    for _ in range(20):
+        dag = random_layered_dag(rng, max_edges=14, max_layers=4)
+        rows = [np.zeros(dag.n_edges)]
+        rows[0][dag.out_edges[dag.source]] = 1.0
+        for v in range(dag.n_vertices):
+            if v not in (dag.source, dag.sink):
+                row = np.zeros(dag.n_edges)
+                row[dag.in_edges[v]] += 1.0
+                row[dag.out_edges[v]] -= 1.0
+                rows.append(row)
+        a_mat, b_vec = flow_constraints(dag)
+        assert np.array(rows).tobytes() == a_mat.tobytes()
+        assert b_vec.tolist() == [1.0] + [0.0] * (len(rows) - 1)
+        x = rng.generator.random(dag.n_edges)
+        loads = [1.0 if v == dag.sink else x[dag.out_edges[v]].sum()
+                 for v in range(dag.n_vertices)]
+        assert np.allclose(dag.vertex_loads(x), loads, rtol=0, atol=1e-15)
+        res = max(abs(x[dag.out_edges[dag.source]].sum() - 1.0),
+                  abs(x[dag.in_edges[dag.sink]].sum() - 1.0),
+                  *(abs(x[dag.in_edges[v]].sum() - x[dag.out_edges[v]].sum())
+                    for v in range(dag.n_vertices)
+                    if v not in (dag.source, dag.sink)))
+        assert cl.flow_check(dag, x)[1] == pytest.approx(res, abs=1e-15)
+
+
 def test_dag_text_roundtrip(tmp_path):
     p = tmp_path / "g.dag"
     p.write_text("dag 4 4 0 3\n0 1\n0 2\n1 3\n2 3\n")

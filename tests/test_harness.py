@@ -235,6 +235,59 @@ def test_every_learner_runs_or_fails_before_round_1(tmp_path):
                               ("multitask", "hedge"), ("explicit", "hedge")}
 
 
+def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
+    sets = ["mset:8:2", "multitask:2,3", "dag-layered:16:32",
+            f"explicit:{write_hypercube(tmp_path, 3)}"]
+    adversaries = ["universal", "mset-lb", "hedge-killer", "multitask-phases",
+                   "dag-layered:16:32", "constant:zero", "gaussian"]
+    ran = set()
+    for set_spec in sets:
+        kind = set_spec.split(":")[0]
+        for spec in adversaries:
+            cfg = cl.ExperimentConfig(set_spec, ["hedge"], spec, horizon=3,
+                                      seed=1)
+            try:
+                res = cl.run_experiment(cfg)
+            except cl.PreconditionError as err:
+                assert (err.trial, err.round) == (0, 0)
+                continue
+            assert res.ledgers["hedge"][0].horizon == 3
+            ran.add((kind, spec))
+    anywhere = {"universal", "constant:zero", "gaussian"}
+    assert ran == {(kind, spec) for kind in ("mset", "multitask",
+                                             "dag-layered", "explicit")
+                   for spec in anywhere} | {
+        ("mset", "mset-lb"), ("mset", "hedge-killer"),
+        ("multitask", "multitask-phases"), ("dag-layered", "dag-layered:16:32")}
+    assert len(ran) == 16
+
+
+def test_construction_error_keeps_the_trial(monkeypatch):
+    import comblab.learners as ln
+
+    def failing(*args, **kwargs):
+        raise cl.SolverFailure("entropy projection did not reach tolerance",
+                               residual=3e-9, iterations=100)
+
+    monkeypatch.setattr(ln, "sinkhorn_flow_projection", failing)
+    cfg = cl.ExperimentConfig("dag-layered:16:32", ["omd-entropy-dag"],
+                              "gaussian", horizon=4, trials=2)
+    with pytest.raises(cl.SolverFailure, match="trial 0, round 0") as info:
+        cl.run_experiment(cfg)
+    err = info.value
+    assert (err.residual, err.iterations) == (3e-9, 100)
+    assert (err.trial, err.round) == (0, 0)
+
+
+@pytest.mark.parametrize("spec", ["dag-layered:64:4096",      # 4 layers
+                                  "dag-layered:64:1048576"])  # 8 layers
+def test_entropy_omd_runs_on_deep_layered_dags(spec):
+    res = cl.run_experiment(cl.ExperimentConfig(
+        spec, ["omd-entropy-dag"], spec, horizon=20, trials=2, seed=4))
+    for led in res.ledgers["omd-entropy-dag"]:
+        assert led.horizon == 20 and np.all(np.isfinite(led.loss))
+
+
 def test_hedge_runs_on_a_dag_beyond_the_enumeration_cap():
     spec = "dag-layered:128:16777216"
     assert cl.build_set(spec).count() == 16_777_216

@@ -8,7 +8,9 @@ from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                random_feasible_loss, random_layered_dag)
 from comblab.domain import mset_selection_dag
 from comblab.learners import weight_pushing_marginals
-from comblab.proximal import _solve_coords_numpy, mset_prox, mset_prox_numpy
+from comblab.proximal import (_solve_coords_numpy, flow_prox_newton, mset_prox,
+                               mset_prox_numpy, sinkhorn_flow_projection)
+from comblab.regularizers import NegativeEntropy, uniform_path_flow
 from comblab.sampling import RngStream, sample_path
 
 
@@ -362,17 +364,55 @@ def test_entropy_omd_moves_away_from_loss():
     assert res <= 1e-9
 
 
-def test_entropy_omd_sinkhorn_vs_newton():
+def test_entropy_omd_matches_kkt_oracle():
+    # The learner's steps, each projection solved by the KKT Newton oracle.
     rng = RngStream(28, 0)
     for _ in range(3):
         dag = random_layered_dag(rng, max_edges=12)
         dset = cl.DagPathSet(dag)
-        fast = cl.EntropyDagOmd(dset, 0.8, solver="sinkhorn")
-        oracle = cl.EntropyDagOmd(dset, 0.8, solver="newton")
+        fast = cl.EntropyDagOmd(dset, 0.8)
+        oracle, linear = uniform_path_flow(dag), np.zeros(dag.n_edges)
         for _ in range(10):
+            oracle, _ = flow_prox_newton(dag, NegativeEntropy(), oracle, linear)
             y = random_feasible_loss(dset, rng)
-            gap = np.max(np.abs(fast.step(y) - oracle.step(y)))
+            gap = np.max(np.abs(fast.step(y) - oracle))
             assert gap <= 1e-8
+            linear = 0.8 * cl.shift_losses(dag, y)[0] - np.log(oracle)
+
+
+def test_entropy_projection_routes_around_a_dead_vertex():
+    # Weights underflowed to zero on every edge at vertex 2: the projection
+    # is that of the graph without it.
+    dag = cl.Dag(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (1, 3)],
+                 0, 4)
+    log_w = np.array([0.3, -np.inf, -1.0, 0.5, -np.inf, 0.2, -0.4])
+    x, _ = sinkhorn_flow_projection(dag, log_w)
+    alive = cl.Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)], 0, 3)
+    ref, _ = sinkhorn_flow_projection(alive, log_w[[0, 2, 3, 5, 6]])
+    assert x[1] == x[4] == 0.0
+    assert np.max(np.abs(x[[0, 2, 3, 5, 6]] - ref)) <= 1e-9
+
+
+def test_entropy_projection_meets_its_dual_conditions():
+    # x_e = w_e exp(nu_tail - nu_head) for some potentials nu: the log
+    # ratio lies in the row space of the incidence matrix.
+    rng = RngStream(30, 0)
+    cases = [(random_layered_dag(rng, max_edges=14, max_layers=4), None)
+             for _ in range(5)]
+    # weights of an entropy-learner step at eta = 30: Newton from nu = 0
+    # stalls on them (its system is singular to working precision)
+    cases.append((cl.Dag(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4),
+                             (4, 5)], 0, 5),
+                  np.array([-42.92, -44.98, 0.0, -93.36, -83.79, -49.51, 0.0])))
+    for dag, log_w in cases:
+        if log_w is None:
+            log_w = rng.generator.normal(size=dag.n_edges) * 3.0
+        x, info = sinkhorn_flow_projection(dag, log_w)
+        assert cl.flow_check(dag, x)[1] == info["residual"] <= 1e-10
+        gap = np.log(x) - log_w
+        inc = dag.incidence
+        nu = np.linalg.lstsq(inc.T, gap, rcond=None)[0]
+        assert np.max(np.abs(inc.T @ nu - gap)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
