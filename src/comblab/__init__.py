@@ -26,8 +26,7 @@ from .learners import (DilatedOmd, EntropyDagOmd, ExplicitHedge, Learner,
                        default_learning_rate, make_hedge, mset_omd_rate,
                        shift_losses, weight_pushing_marginals)
 from .properties import PropertyResult, run_property_suite
-from .proximal import (flow_prox_newton, mset_prox, mset_prox_numpy,
-                       sinkhorn_flow_projection)
+from .proximal import flow_prox_newton, mset_prox, sinkhorn_flow_projection
 from .regularizers import (DilatedEntropy, MSetRegularizer, NegativeEntropy,
                            Regularizer, path_distribution, path_entropy_sum,
                            uniform_path_flow)

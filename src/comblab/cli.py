@@ -16,7 +16,7 @@ from .adversaries import GaussianFeasibleStream
 from .domain import DagPathSet, load_dag
 from .harness import (LB_DEMOS, check_iterate_equivalence, lb_demo,
                       parse_config, run_experiment)
-from .properties import run_property_suite
+from .properties import PROPERTIES, run_property_suite
 from .sampling import RngStream
 
 
@@ -40,8 +40,8 @@ def main(argv=None):
 
     p_props = sub.add_parser("props", help="run the invariant suite")
     p_props.add_argument("--scope", default=None,
-                         choices=["domain", "regularizers", "learners",
-                                  "sampling", "adversaries", "harness"])
+                         choices=list(dict.fromkeys(
+                             scope for scope, _ in PROPERTIES)))
     p_props.add_argument("--seed", type=int, default=0)
 
     p_lb = sub.add_parser("lb-demo", help="reproduce a lower-bound experiment")

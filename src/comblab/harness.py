@@ -14,13 +14,16 @@ and DAG sets and enumerates only explicit sets; ``hedge-dag`` and
 weight pushing on DAG sets only; ``omd-dilated:numeric=1`` solves each
 dilated-entropy proximal step by the KKT Newton oracle instead.
 
-Adversaries: ``universal``, ``mset-lb``, ``hedge-killer``,
-``multitask-phases``, ``dag-layered:<d>:<N>``, ``constant:<path>`` (or
-``constant:zero``), ``gaussian[:scale=<s>]``.
+Adversaries: ``universal[:k=<int>]``, ``mset-lb``,
+``hedge-killer[:eta=<float>]``, ``multitask-phases``,
+``dag-layered:<d>:<N>``, ``constant:<path>`` (or ``constant:zero``),
+``gaussian[:scale=<s>]``, each optionally ``:seed=<u64>``.  A spec with the
+wrong number of positional parts, an unknown option or a value that does
+not convert raises :class:`PreconditionError`.
 
 Config files are flat ``key=value`` text with keys ``set``, ``learner``
 (comma-separated), ``adversary``, ``T``, ``trials``, ``seed``, ``mode``,
-``eta``, ``out``.
+``eta``, ``out``; any other key raises :class:`PreconditionError`.
 """
 
 import json
@@ -62,6 +65,10 @@ class ExperimentConfig:
             raise PreconditionError("mode must be 'expected' or 'sampled'")
 
 
+_CONFIG_KEYS = ("set", "learner", "adversary", "T", "trials", "seed", "mode",
+                "eta", "out")
+
+
 def parse_config(path):
     """Read a flat key=value config file into an :class:`ExperimentConfig`."""
     values = {}
@@ -74,52 +81,111 @@ def parse_config(path):
                 raise PreconditionError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
+    unknown = [k for k in values if k not in _CONFIG_KEYS]
+    if unknown:
+        raise PreconditionError(f"unknown config keys: {unknown}; "
+                                f"known keys are {list(_CONFIG_KEYS)}")
     required = ("set", "learner", "adversary", "T")
     missing = [k for k in required if k not in values]
     if missing:
         raise PreconditionError(f"config missing keys: {missing}")
+
+    def number(key, convert, default):
+        try:
+            return convert(values[key]) if key in values else default
+        except ValueError:
+            raise PreconditionError(
+                f"config key {key}: bad value {values[key]!r}") from None
+
     return ExperimentConfig(
         set_spec=values["set"],
         learner_specs=[s.strip() for s in values["learner"].split(",") if s.strip()],
         adversary_spec=values["adversary"],
-        horizon=int(values["T"]),
-        trials=int(values.get("trials", 1)),
-        seed=int(values.get("seed", 0)),
+        horizon=number("T", int, None),
+        trials=number("trials", int, 1),
+        seed=number("seed", int, 0),
         mode=values.get("mode", "expected"),
-        eta=float(values["eta"]) if "eta" in values else None,
+        eta=number("eta", float, None),
         out=values.get("out"),
     )
 
 
-def _split_spec(spec):
-    parts = spec.split(":")
-    name = parts[0]
-    args = []
-    kwargs = {}
-    for part in parts[1:]:
-        if "=" in part:
-            key, _, val = part.partition("=")
-            kwargs[key] = val
-        else:
-            args.append(part)
-    return name, args, kwargs
+def _flag(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _int_list(text):
+    return [int(b) for b in text.split(",")]
+
+
+# Spec grammars: name -> (converters of the positional parts, in order;
+# converters of the ``key=value`` options).
+_SET_SPECS = {
+    "mset": ((int, int), {}),
+    "multitask": ((_int_list,), {}),
+    "dag": ((str,), {}),
+    "dag-layered": ((int, int), {}),
+    "explicit": ((str,), {}),
+}
+_LEARNER_SPECS = {
+    "hedge": ((), {"eta": float}),
+    "hedge-dag": ((), {"eta": float}),
+    "omd-mset": ((), {"eta": float}),
+    "omd-dilated": ((), {"eta": float, "numeric": _flag}),
+    "omd-entropy-dag": ((), {"eta": float}),
+}
+_ADVERSARY_SPECS = {
+    "universal": ((), {"k": int, "seed": int}),
+    "mset-lb": ((), {"seed": int}),
+    "hedge-killer": ((), {"eta": float, "seed": int}),
+    "multitask-phases": ((), {"seed": int}),
+    "dag-layered": ((int, int), {"seed": int}),
+    "constant": ((str,), {"seed": int}),
+    "gaussian": ((), {"scale": float, "seed": int}),
+}
+
+
+def _split_spec(spec, kind, grammar):
+    """Split ``name:part:...`` into ``(name, args, options)``, parts with
+    ``=`` being options, and convert each part by ``grammar``.  A spec that
+    does not fit its grammar raises :class:`PreconditionError`."""
+    name, *parts = spec.split(":")
+    if name not in grammar:
+        raise PreconditionError(f"unknown {kind} spec {spec!r}")
+    arg_types, option_types = grammar[name]
+    args = [part for part in parts if "=" not in part]
+    options = dict(part.split("=", 1) for part in parts if "=" in part)
+    if len(args) != len(arg_types):
+        raise PreconditionError(
+            f"{kind} spec {spec!r}: {name} takes {len(arg_types)} positional "
+            f"part(s), got {args}")
+    unknown = sorted(set(options) - set(option_types))
+    if unknown:
+        raise PreconditionError(
+            f"{kind} spec {spec!r}: unknown option(s) {unknown}; {name} "
+            f"takes {sorted(option_types)}")
+    try:
+        return (name, [convert(a) for convert, a in zip(arg_types, args)],
+                {key: option_types[key](val) for key, val in options.items()})
+    except ValueError as err:
+        raise PreconditionError(f"{kind} spec {spec!r}: {err}") from None
 
 
 def build_set(spec):
     """Decision set from its spec string."""
-    name, args, _ = _split_spec(spec)
+    name, args, _ = _split_spec(spec, "set", _SET_SPECS)
     if name == "mset":
-        return MSet(int(args[0]), int(args[1]))
+        return MSet(*args)
     if name == "multitask":
-        return MultitaskSet([int(b) for b in args[0].split(",")])
+        return MultitaskSet(args[0])
     if name == "dag":
         return DagPathSet(load_dag(args[0]))
     if name == "dag-layered":
-        dag, _, _ = adv.layered_dag(int(args[0]), int(args[1]))
+        dag, _, _ = adv.layered_dag(*args)
         return DagPathSet(dag)
-    if name == "explicit":
-        return ExplicitSet(_load_vectors(args[0]))
-    raise PreconditionError(f"unknown set spec {spec!r}")
+    return ExplicitSet(_load_vectors(args[0]))  # explicit
 
 
 def _load_vectors(path):
@@ -136,29 +202,27 @@ def _load_vectors(path):
 
 def build_learner(spec, decision_set, horizon, eta_override=None):
     """Fresh learner instance from its spec string."""
-    name, _, kwargs = _split_spec(spec)
-    eta = float(kwargs["eta"]) if "eta" in kwargs else eta_override
+    name, _, options = _split_spec(spec, "learner", _LEARNER_SPECS)
+    eta = options.get("eta", eta_override)
 
     if name == "hedge":
-        learner = make_hedge(decision_set,
-                             eta or default_learning_rate(decision_set, horizon))
+        learner = make_hedge(decision_set, eta if eta is not None
+                             else default_learning_rate(decision_set, horizon))
     elif name in ("hedge-dag", "omd-dilated"):
         if not isinstance(decision_set, DagPathSet):
             raise PreconditionError(f"{name} needs a dag decision set")
-        numeric = name == "omd-dilated" and kwargs.get("numeric") == "1"
-        learner = (DilatedOmd if numeric else PathHedge)(
-            decision_set, eta or default_learning_rate(decision_set, horizon))
+        learner = (DilatedOmd if options.get("numeric") else PathHedge)(
+            decision_set, eta if eta is not None
+            else default_learning_rate(decision_set, horizon))
     elif name == "omd-mset":
         if not isinstance(decision_set, MSet):
             raise PreconditionError("omd-mset needs an mset decision set")
-        learner = MSetOmd(decision_set,
-                          eta or mset_omd_rate(decision_set.dimension,
-                                               decision_set.m, horizon))
-    elif name == "omd-entropy-dag":
-        learner = EntropyDagOmd(decision_set,
-                                eta or dag_entropy_rate(decision_set, horizon))
-    else:
-        raise PreconditionError(f"unknown learner spec {spec!r}")
+        learner = MSetOmd(decision_set, eta if eta is not None
+                          else mset_omd_rate(decision_set.dimension,
+                                             decision_set.m, horizon))
+    else:  # omd-entropy-dag
+        learner = EntropyDagOmd(decision_set, eta if eta is not None
+                                else dag_entropy_rate(decision_set, horizon))
     learner.name = spec
     return learner
 
@@ -169,20 +233,20 @@ def build_adversary(spec, decision_set, horizon, learner_eta=None):
     A ``:seed=<u64>`` part pins the adversary's own randomness regardless
     of the experiment master seed (trial indices still vary the stream).
     """
-    name, args, kwargs = _split_spec(spec)
-    factory = _build_adversary_factory(name, args, kwargs, decision_set,
+    name, args, options = _split_spec(spec, "adversary", _ADVERSARY_SPECS)
+    factory = _build_adversary_factory(name, args, options, decision_set,
                                        horizon, learner_eta)
-    if "seed" in kwargs:
-        seed = int(kwargs["seed"])
+    if "seed" in options:
+        seed = options["seed"]
         inner = factory
         factory = lambda rng: inner(RngStream(seed, *rng.key))
     return factory
 
 
-def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
+def _build_adversary_factory(name, args, options, decision_set, horizon,
                              learner_eta):
     if name == "universal":
-        k = (int(kwargs["k"]) if "k" in kwargs
+        k = (options["k"] if "k" in options
              else adv.universal_shattering_size(decision_set))
         shattered = adv.find_shattered_set(decision_set, k)
         return lambda rng: adv.UniversalStream(decision_set, horizon, rng,
@@ -195,7 +259,7 @@ def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
     if name == "hedge-killer":
         if not isinstance(decision_set, MSet):
             raise PreconditionError("hedge-killer needs an mset decision set")
-        eta = float(kwargs["eta"]) if "eta" in kwargs else learner_eta
+        eta = options.get("eta", learner_eta)
         if eta is None:
             raise PreconditionError("hedge-killer needs the targeted rate "
                                     "(no eta-bearing learner in this run)")
@@ -209,7 +273,7 @@ def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
     if name == "dag-layered":
         if not isinstance(decision_set, DagPathSet):
             raise PreconditionError("dag-layered needs a dag decision set")
-        dag, first_hops, _ = adv.layered_dag(int(args[0]), int(args[1]))
+        dag, first_hops, _ = adv.layered_dag(*args)
         if dag.n_edges != decision_set.dimension:
             raise PreconditionError(
                 "dag-layered adversary shape does not match the decision set; "
@@ -217,7 +281,7 @@ def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
         return lambda rng: adv.DagLayeredStream(first_hops, dag.n_edges,
                                                 horizon, rng)
     if name == "constant":
-        if args and args[0] == "zero":
+        if args[0] == "zero":
             vec = np.zeros(decision_set.dimension)
         else:
             with open(args[0]) as fh:
@@ -226,11 +290,9 @@ def _build_adversary_factory(name, args, kwargs, decision_set, horizon,
         if not report.ok:
             raise PreconditionError("constant adversary vector is infeasible")
         return lambda rng: adv.ConstantStream(vec, horizon)
-    if name == "gaussian":
-        scale = float(kwargs.get("scale", 0.9))
-        return lambda rng: adv.GaussianFeasibleStream(decision_set, horizon,
-                                                      rng, scale=scale)
-    raise PreconditionError(f"unknown adversary spec {name!r}")
+    scale = options.get("scale", 0.9)  # gaussian
+    return lambda rng: adv.GaussianFeasibleStream(decision_set, horizon, rng,
+                                                  scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ class Learner:
     hedge_family = False
 
     def __init__(self, decision_set, eta):
-        if eta <= 0:
-            raise PreconditionError("learning rate must be positive")
+        if not 0 < eta < math.inf:
+            raise PreconditionError("learning rate must be positive and finite")
         self.decision_set = decision_set
         self.eta = float(eta)
         self._policy_cache = None
@@ -304,8 +304,10 @@ class EntropyDagOmd(Learner):
 
     def _absorb(self, y):
         shifted, _ = shift_losses(self.dag, y)
+        with np.errstate(divide="ignore"):  # an underflowed 0 is a zero flow
+            log_x = np.log(self.iterate)
         self.iterate, _ = sinkhorn_flow_projection(
-            self.dag, np.log(self.iterate) - self.eta * shifted)
+            self.dag, log_x - self.eta * shifted)
 
     def sample(self, rng):
         return sample_path(self.dag, self.iterate, rng)

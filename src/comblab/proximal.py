@@ -3,9 +3,7 @@
 * :func:`mset_prox` -- the m-set step: one scalar dual variable for the
   cardinality constraint, per-coordinate solves in closed form through the
   Wright omega function, box handling by clipping with complementary
-  slackness.  A scalar kernel that still solves each coordinate by Newton
-  iteration is compiled with numba when available; the vectorized numpy
-  implementation is always present and the two agree to solver tolerance.
+  slackness.
 * :func:`flow_prox_newton` -- damped Newton on the equality-constrained
   KKT system over a flow polytope.  Used as the numeric oracle that keeps
   the fast weight-pushing path honest, and as the cross-check for the
@@ -22,6 +20,8 @@ from .domain import flow_check
 from .errors import SolverFailure
 
 SUM_TOL = 1e-12
+MAX_OUTER = 500
+_mset_prox_compiled = None  # perfbench/run.py reads it for the "backend" field
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +36,9 @@ SUM_TOL = 1e-12
 # reach 0 because g -> -inf there (in floating point they may underflow).
 # The per-coordinate equation g(x) = t has a closed form: with w = 2m x it
 # reads  w + ln w = m t - 1 + ln(2m),  so  w = omega(m t - 1 + ln(2m))  with
-# omega the Wright omega function (Corless & Jeffrey, 2002).  The numba twin
-# :func:`_mset_prox_scalar` still solves it by Newton in u = ln x, where it
-# is convex; the two must agree within the 1e-11 that
-# test_prox_newton_vs_bisection_vs_compiled allows.  The outer scalar
-# equation sum x(lam) = m is solved by safeguarded Newton (or bisection, kept
-# as the reference mode).
+# omega the Wright omega function (Corless & Jeffrey, 2002).  The outer
+# scalar equation sum x(lam) = m is solved by safeguarded Newton (or
+# bisection, kept as the reference mode).
 
 def _solve_coords_numpy(t, m):
     """Solve 2x + (ln x + 1)/m = t per coordinate for t <= g(1); x <= 1."""
@@ -49,9 +46,8 @@ def _solve_coords_numpy(t, m):
     return np.minimum(wrightomega(m * t + (np.log(two_m) - 1.0)) / two_m, 1.0)
 
 
-def mset_prox_numpy(x_old, step, m, lam_init=0.0, method="newton",
-                    sum_tol=SUM_TOL, max_outer=500):
-    """Vectorized m-set proximal step.
+def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
+    """The m-set proximal step.
 
     Parameters
     ----------
@@ -63,7 +59,8 @@ def mset_prox_numpy(x_old, step, m, lam_init=0.0, method="newton",
 
     Returns
     -------
-    (x, lam) with ``|sum(x) - m| <= sum_tol``.
+    (x, lam) with ``|sum(x) - m| <= SUM_TOL``; raises :class:`SolverFailure`
+    after ``MAX_OUTER`` outer steps.
     """
     x_old = np.asarray(x_old, dtype=float)
     step = np.asarray(step, dtype=float)
@@ -72,11 +69,11 @@ def mset_prox_numpy(x_old, step, m, lam_init=0.0, method="newton",
 
     lam = float(lam_init)
     lo = hi = None  # s(lo) > 0 > s(hi); s is decreasing in lam
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         t = np.minimum(c - lam, g_at_one)
         x = _solve_coords_numpy(t, m)
         s = float(np.add.reduce(x)) - m
-        if abs(s) <= sum_tol:
+        if abs(s) <= SUM_TOL:
             return x, lam
         if s > 0:
             lo = lam
@@ -99,94 +96,7 @@ def mset_prox_numpy(x_old, step, m, lam_init=0.0, method="newton",
             cand = hi - max(1.0, 2.0 * (hi - lam) if hi > lam else 1.0)
         lam = cand
     raise SolverFailure("m-set proximal step did not meet the sum tolerance",
-                        residual=abs(s), iterations=max_outer)
-
-
-def _mset_prox_scalar(x_old, step, m, lam, sum_tol, max_outer):
-    """Scalar-loop twin of :func:`mset_prox_numpy` (newton mode), for numba.
-
-    Each coordinate is solved by Newton in u = ln x, not by the closed form.
-    """
-    d = x_old.shape[0]
-    c = np.empty(d)
-    u = np.empty(d)
-    for i in range(d):
-        li = np.log(x_old[i])
-        c[i] = 2.0 * x_old[i] + (li + 1.0) / m - step[i]
-        u[i] = li if li < 0.0 else 0.0
-    g_at_one = 2.0 + 1.0 / m
-    x = np.empty(d)
-    lo_set = False
-    hi_set = False
-    lo = 0.0
-    hi = 0.0
-    s = 0.0
-    for _ in range(max_outer):
-        s = -float(m)
-        slope = 0.0
-        for i in range(d):
-            t = c[i] - lam
-            if t > g_at_one:
-                t = g_at_one
-            ui = u[i]
-            for _ in range(100):
-                eu = np.exp(ui)
-                h = 2.0 * eu + (ui + 1.0) / m - t
-                if abs(h) <= 1e-14:
-                    break
-                ui -= h / (2.0 * eu + 1.0 / m)
-                if ui > 0.0:
-                    ui = 0.0
-            u[i] = ui
-            xi = np.exp(ui)
-            x[i] = xi
-            s += xi
-            if c[i] - lam < g_at_one:
-                slope -= 1.0 / (2.0 + 1.0 / (m * xi))
-        if abs(s) <= sum_tol:
-            return x, lam, s
-        if s > 0.0:
-            lo = lam
-            lo_set = True
-        else:
-            hi = lam
-            hi_set = True
-        if slope < 0.0:
-            cand = lam - s / slope
-        else:
-            cand = lam + (1.0 if s > 0.0 else -1.0)
-        if lo_set and hi_set and not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        elif lo_set and not hi_set and cand <= lo:
-            cand = lo + (2.0 * (lam - lo) if lam - lo > 0.5 else 1.0)
-        elif hi_set and not lo_set and cand >= hi:
-            cand = hi - (2.0 * (hi - lam) if hi - lam > 0.5 else 1.0)
-        lam = cand
-    return x, lam, s
-
-
-try:  # optional acceleration; the numpy path is the behavioural reference
-    from numba import njit
-
-    _mset_prox_compiled = njit(cache=True)(_mset_prox_scalar)
-except ImportError:  # pragma: no cover
-    _mset_prox_compiled = None
-
-
-def mset_prox(x_old, step, m, lam_init=0.0, method="newton",
-              sum_tol=SUM_TOL, max_outer=500):
-    """Fastest available m-set proximal step (numba kernel when importable)."""
-    if _mset_prox_compiled is not None and method == "newton":
-        x, lam, s = _mset_prox_compiled(
-            np.ascontiguousarray(x_old, dtype=float),
-            np.ascontiguousarray(step, dtype=float),
-            float(m), float(lam_init), float(sum_tol), int(max_outer))
-        if abs(s) > sum_tol:
-            raise SolverFailure("m-set proximal step did not meet the sum "
-                                "tolerance", residual=abs(s))
-        return x, lam
-    return mset_prox_numpy(x_old, step, m, lam_init=lam_init, method=method,
-                           sum_tol=sum_tol, max_outer=max_outer)
+                        residual=abs(s), iterations=MAX_OUTER)
 
 
 def mset_prox_kkt_residual(x_new, x_old, step, m, lam):

@@ -57,6 +57,48 @@ def test_build_learner_specs_and_rates():
         cl.build_learner("ftpl", dset, 100)
 
 
+@pytest.mark.parametrize("slot,spec", [
+    ("set", "mset:16"), ("set", "mset:a:b"), ("set", "mset:16:4:9"),
+    ("set", "mset:16:4:x=1"),
+    ("learner", "hedge:eta=abc"), ("learner", "hedge:foo=1"),
+    ("learner", "omd-mset:numeric=1"), ("learner", "omd-dilated:numeric=2"),
+    ("adversary", "hedge-killer:eta=zz"), ("adversary", "universal:seed=x"),
+    ("adversary", "universal:bogus=1"), ("adversary", "constant"),
+])
+def test_malformed_specs_raise_precondition(slot, spec):
+    parts = {"set": "mset:16:4", "learner": "hedge", "adversary": "universal"}
+    parts[slot] = spec
+    cfg = cl.ExperimentConfig(parts["set"], [parts["learner"]],
+                              parts["adversary"], horizon=2)
+    with pytest.raises(cl.PreconditionError, match=spec) as info:
+        cl.run_experiment(cfg)
+    if slot != "set":  # built inside the trial, before round 1
+        assert (info.value.trial, info.value.round) == (0, 0)
+
+
+@pytest.mark.parametrize("eta", ["0", "nan", "inf"])
+def test_rate_must_be_positive_and_finite(eta):
+    with pytest.raises(cl.PreconditionError, match="positive"):
+        cl.build_learner(f"hedge:eta={eta}", cl.MSet(8, 2), 100)
+    cfg = cl.ExperimentConfig("mset:8:2", ["omd-mset"], "gaussian", horizon=2,
+                              eta=float(eta))
+    with pytest.raises(cl.PreconditionError, match="positive"):
+        cl.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("line,key", [("tirals=100", "tirals"),
+                                      ("T=abc", "T"), ("trials=2.5", "trials"),
+                                      ("seed=x", "seed"), ("eta=fast", "eta")])
+def test_config_typos_raise_precondition(tmp_path, line, key):
+    cfgfile = tmp_path / "exp.cfg"
+    lines = {"set": "mset:6:2", "learner": "hedge", "adversary": "mset-lb",
+             "T": "40"}
+    lines.update([line.split("=")])
+    cfgfile.write_text("".join(f"{k}={v}\n" for k, v in lines.items()))
+    with pytest.raises(cl.PreconditionError, match=key):
+        cl.parse_config(str(cfgfile))
+
+
 def test_config_parsing(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
 from comblab.domain import mset_selection_dag
 from comblab.learners import weight_pushing_marginals
 from comblab.proximal import (_solve_coords_numpy, flow_prox_newton, mset_prox,
-                               mset_prox_numpy, sinkhorn_flow_projection)
+                               sinkhorn_flow_projection)
 from comblab.regularizers import NegativeEntropy, uniform_path_flow
 from comblab.sampling import RngStream, sample_path
 
@@ -225,8 +226,8 @@ def test_prox_newton_vs_bisection_vs_compiled():
         y = random_feasible_loss(dset, rng)
         step = 0.2 * y
         a, _ = mset_prox(x, step, 4)
-        b, _ = mset_prox_numpy(x, step, 4, method="newton")
-        c, _ = mset_prox_numpy(x, step, 4, method="bisect")
+        b, _ = mset_prox(x, step, 4, method="newton")
+        c, _ = mset_prox(x, step, 4, method="bisect")
         assert np.max(np.abs(a - b)) <= 1e-11
         assert np.max(np.abs(b - c)) <= 1e-10
         x = a
@@ -362,6 +363,19 @@ def test_entropy_omd_moves_away_from_loss():
     assert learner.iterate[0] < 0.5 < learner.iterate[1]
     ok, res = cl.flow_check(dag, learner.iterate)
     assert res <= 1e-9
+
+
+def test_entropy_omd_steps_past_an_underflowed_flow_without_warning():
+    # At eta = 50 the losing edge's flow underflows to 0 within 20 rounds;
+    # its log is -inf, a zero flow, and must not warn.
+    dag = diamond_dag()
+    learner = cl.EntropyDagOmd(cl.DagPathSet(dag), 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(30):
+            learner.step(np.array([0.5, 0.0, 0.5, 0.0]))
+    assert learner.iterate[0] == 0.0
+    assert cl.flow_check(dag, learner.iterate)[1] <= 1e-9
 
 
 def test_entropy_omd_matches_kkt_oracle():
