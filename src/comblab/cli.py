@@ -6,6 +6,9 @@ Subcommands::
     comblab equiv-check <dag-file> [...]     # certify OMD/Hedge iterate match
     comblab props [--scope S] [--seed N]     # run the invariant suite
     comblab lb-demo <theorem-id> [--seed N]  # one-shot lower-bound experiment
+
+A :class:`ComblabError` from any subcommand prints one line,
+``comblab: <Type>: <message>``, on stderr and exits with code 2.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import sys
 
 from .adversaries import GaussianFeasibleStream
 from .domain import DagPathSet, load_dag
+from .errors import ComblabError
 from .harness import (LB_DEMOS, check_iterate_equivalence, lb_demo,
                       parse_config, run_experiment)
 from .properties import PROPERTIES, run_property_suite
@@ -49,7 +53,15 @@ def main(argv=None):
     p_lb.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ComblabError as err:
+        print(f"comblab: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
+
+def _run(args):
+    """Run the parsed subcommand; return its exit code."""
     if args.command == "run":
         config = parse_config(args.config)
         result = run_experiment(config)

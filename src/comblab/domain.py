@@ -274,6 +274,25 @@ class Dag:
         inc[self.compiled.heads, np.arange(self.n_edges)] = -1.0
         return inc
 
+    @functools.cached_property
+    def flow_system(self):
+        """``(A, b, A_ls)``: the unit-flow polytope as ``A x = b`` with A of
+        full row rank, and ``A_ls = pinv(A^T)``, which maps a vector ``g`` to
+        the least-squares solution ``nu`` of ``A^T nu = g``.
+
+        Rows of A, taken from ``incidence``: source outflow equals one, then
+        conservation (inflow minus outflow) at every other vertex but the
+        sink, whose row is implied and omitted.  The arrays are read-only.
+        """
+        inner = [v for v in range(self.n_vertices)
+                 if v not in (self.source, self.sink)]
+        # 0.0 - B, not -B: A holds +0.0, bit for bit the per-vertex rows
+        a_mat = np.vstack([self.incidence[self.source], 0.0 - self.incidence[inner]])
+        system = (a_mat, np.r_[1.0, np.zeros(len(inner))], np.linalg.pinv(a_mat.T))
+        for arr in system:
+            arr.flags.writeable = False
+        return system
+
     def flow_excess(self, x):
         """``B x - b``, the conservation error at every vertex."""
         excess = self.incidence @ np.asarray(x, dtype=float)
@@ -308,9 +327,14 @@ def flow_check(dag, x):
     on any edge.  ``ok`` iff residual <= 1e-9.
     """
     x = np.asarray(x, dtype=float)
-    res = max(float(np.max(np.abs(dag.flow_excess(x)))),
-              float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
+    res = flow_residual(x, dag.flow_excess(x))
     return res <= FLOW_TOL, res
+
+
+def flow_residual(x, excess):
+    """The residual of :func:`flow_check` from ``excess = B x - b``."""
+    return max(float(np.max(np.abs(excess))),
+               float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

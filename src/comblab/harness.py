@@ -37,8 +37,8 @@ from .domain import (DagPathSet, ExplicitSet, MSet, MultitaskSet, load_dag)
 from .errors import ComblabError, InternalConsistencyError, PreconditionError, RangeError
 from .instances import hypercube_set
 from .learners import (DilatedOmd, EntropyDagOmd, MSetOmd, PathHedge,
-                       dag_entropy_rate, default_learning_rate, make_hedge,
-                       mset_omd_rate)
+                       check_loss, dag_entropy_rate, default_learning_rate,
+                       make_hedge, mset_omd_rate)
 from .sampling import RngStream
 
 
@@ -373,7 +373,9 @@ def run_experiment(config, decision_set=None):
     In ``expected`` mode the learner is charged ``<policy, y>``; in
     ``sampled`` mode a vertex is drawn (expectation-matched to the policy)
     and charged instead.  Best-in-hindsight is recomputed at every horizon
-    via the closed-form minimizers, so regret curves are exact.
+    via the closed-form minimizers, so regret curves are exact.  Each loss
+    is checked once per round (:func:`check_loss`), before any learner
+    absorbs it.
 
     Hedge-family learners are additionally checked against the classical
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating
@@ -405,6 +407,7 @@ def run_experiment(config, decision_set=None):
             sample_rngs = [RngStream(config.seed, trial, 1 + i) for i in range(n)]
             for t in range(1, config.horizon + 1):
                 y = stream.loss(t)
+                check_loss(dset, y)
                 for i, learner in enumerate(learners):
                     policy = learner.propose()
                     expected = float(policy @ y)

@@ -74,6 +74,16 @@ def weight_pushing_marginals(dag, log_weights):
 # learner base
 # ---------------------------------------------------------------------------
 
+def check_loss(decision_set, y):
+    """Raise :class:`ValidationError` unless every action's loss under
+    ``y`` lies in [-1, 1] (``decision_set.validate_loss``)."""
+    report = decision_set.validate_loss(y)
+    if not report.ok:
+        raise ValidationError(
+            f"loss vector with action-loss {report.value:.6g} exceeds the "
+            f"unit bound", report=report)
+
+
 class Learner:
     name = "learner"
     hedge_family = False
@@ -85,27 +95,23 @@ class Learner:
         self.eta = float(eta)
         self._policy_cache = None
 
-    def _validate(self, y):
-        report = self.decision_set.validate_loss(y)
-        if not report.ok:
-            raise ValidationError(
-                f"loss vector with action-loss {report.value:.6g} exceeds the "
-                f"unit bound", report=report)
-
     def propose(self):
         if self._policy_cache is None:
             self._policy_cache = self._compute_policy()
         return self._policy_cache
 
     def absorb(self, y):
-        y = np.asarray(y, dtype=float)
-        self._validate(y)
-        self._absorb(y)
+        """Fold in the observed loss ``y``; the caller has checked it with
+        :func:`check_loss`, once for all learners of the round."""
+        self._absorb(np.asarray(y, dtype=float))
         self._policy_cache = None
 
     def step(self, y):
-        """Policy for the current round, then fold in the observed loss."""
+        """Policy for the current round, then check and fold in the
+        observed loss."""
         policy = self.propose()
+        y = np.asarray(y, dtype=float)
+        check_loss(self.decision_set, y)
         self.absorb(y)
         return policy
 

@@ -7,7 +7,9 @@
 * :func:`flow_prox_newton` -- damped Newton on the equality-constrained
   KKT system over a flow polytope.  Used as the numeric oracle that keeps
   the fast weight-pushing path honest, and as the cross-check for the
-  entropy projection.
+  entropy projection.  The constraint system and its least-squares
+  multiplier operator are fixed per DAG and built once
+  (:attr:`Dag.flow_system`); each step costs one dense KKT solve.
 * :func:`sinkhorn_flow_projection` -- Bregman projection (negative
   entropy) onto the flow polytope by damped Newton on the dual over vertex
   potentials.
@@ -16,7 +18,7 @@
 import numpy as np
 from scipy.special import wrightomega
 
-from .domain import flow_check
+from .domain import flow_residual
 from .errors import SolverFailure
 
 SUM_TOL = 1e-12
@@ -115,16 +117,15 @@ def mset_prox_kkt_residual(x_new, x_old, step, m, lam):
 # ---------------------------------------------------------------------------
 
 def flow_constraints(dag):
-    """Equality system ``A x = b`` of the unit-flow polytope.
+    """Equality system ``A x = b`` of the unit-flow polytope, built once per
+    DAG (:attr:`Dag.flow_system`).
 
     Rows, taken from ``dag.incidence``: source outflow equals one, then
     conservation (inflow minus outflow) at every other vertex but the
     sink, whose row is implied and omitted so that A has full row rank.
     """
-    inner = [v for v in range(dag.n_vertices) if v not in (dag.source, dag.sink)]
-    # 0.0 - B, not -B: A holds +0.0, bit for bit the per-vertex rows
-    a_mat = np.vstack([dag.incidence[dag.source], 0.0 - dag.incidence[inner]])
-    return a_mat, np.r_[1.0, np.zeros(len(inner))]
+    a_mat, b_vec, _ = dag.flow_system
+    return a_mat, b_vec
 
 
 def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
@@ -138,10 +139,14 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
     iteration count.  Raises :class:`SolverFailure` if the KKT residual
     does not reach ``tol`` within ``max_iter`` iterations.
     """
-    a_mat, b_vec = flow_constraints(dag)
-    n_rows = a_mat.shape[0]
+    a_mat, b_vec, a_ls = dag.flow_system
+    n_edges, n_rows = dag.n_edges, a_mat.shape[0]
     x = np.asarray(x_start, dtype=float).copy()
     linear = np.asarray(linear, dtype=float)
+    kkt = np.zeros((n_edges + n_rows, n_edges + n_rows))
+    kkt[:n_edges, n_edges:] = a_mat.T
+    kkt[n_edges:, :n_edges] = a_mat
+    rhs = np.zeros(n_edges + n_rows)
 
     def objective(pt):
         return float(linear @ pt) + reg.value(pt)
@@ -150,25 +155,21 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
     for iteration in range(max_iter):
         grad = linear + reg.grad(x)
         # Stationarity is measured against the best multiplier for the
-        # CURRENT point (least squares), not the one riding along with the
-        # Newton step, which is conditioning-limited near the optimum.
-        nu_ls = np.linalg.lstsq(a_mat.T, -grad, rcond=None)[0]
-        residual = max(float(np.max(np.abs(grad + a_mat.T @ nu_ls))),
+        # CURRENT point (least squares, nu = -pinv(A^T) grad), not the one
+        # riding along with the Newton step, which is conditioning-limited
+        # near the optimum.
+        residual = max(float(np.max(np.abs(grad - a_mat.T @ (a_ls @ grad)))),
                        float(np.max(np.abs(a_mat @ x - b_vec))))
         if residual <= tol:
             return x, {"residual": residual, "iterations": iteration}
-        hess = reg.hessian_matrix(x)
-        kkt = np.zeros((dag.n_edges + n_rows, dag.n_edges + n_rows))
-        kkt[: dag.n_edges, : dag.n_edges] = hess
-        kkt[: dag.n_edges, dag.n_edges:] = a_mat.T
-        kkt[dag.n_edges:, : dag.n_edges] = a_mat
-        rhs = np.concatenate([-grad, np.zeros(n_rows)])
+        kkt[:n_edges, :n_edges] = reg.hessian_matrix(x)
+        rhs[:n_edges] = -grad
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            kkt[: dag.n_edges, : dag.n_edges] += 1e-12 * np.eye(dag.n_edges)
+            kkt[:n_edges, :n_edges] += 1e-12 * np.eye(n_edges)
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        p = sol[: dag.n_edges]
+        p = sol[:n_edges]
         neg = p < 0
         alpha = min(1.0, 0.995 * float(np.min(x[neg] / -p[neg], initial=np.inf)))
         alpha = _armijo(
@@ -225,10 +226,11 @@ def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
     x, base = flow_and_dual(nu)
     residual = np.inf
     for iteration in range(max_iter):
-        _, residual = flow_check(dag, x)
+        excess = dag.flow_excess(x)
+        residual = flow_residual(x, excess)
         if residual <= tol:
             return x, {"residual": residual, "iterations": iteration}
-        grad = dag.flow_excess(x)[free]
+        grad = excess[free]
         hess = (inc * x) @ inc.T
         step = np.zeros(dag.n_vertices)
         try:

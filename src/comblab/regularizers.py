@@ -139,47 +139,46 @@ class DilatedEntropy(Regularizer):
     smoothly to all positive edge vectors, not only exact unit flows.  On
     the flow polytope it equals the negative Shannon entropy of the induced
     path distribution.
+
+    The out-stars of the non-sink vertices partition the edges.  Every
+    method takes the loads from :meth:`Dag.vertex_loads` (one bincount over
+    the edge tails) and gathers them back by tail, so none loops over stars.
     """
 
     def __init__(self, dag):
         self.dag = dag
-        # Out-stars partition the edges across non-sink vertices.
-        self._stars = [(v, dag.out_edges[v]) for v in range(dag.n_vertices)
-                       if v != dag.sink and len(dag.out_edges[v])]
-
-    def _loads(self, x):
-        return np.array([x[idx].sum() for _, idx in self._stars])
+        tails = dag.compiled.tails
+        self._star_vertices = np.unique(tails[tails != dag.sink])
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         _check_nonneg(x)
-        loads = self._loads(x)
+        loads = self.dag.vertex_loads(x)[self._star_vertices]
         return float(_xlogx(x).sum() - _xlogx(loads).sum())
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         _check_positive(x)
-        g = np.log(x)
-        for _, idx in self._stars:
-            g[idx] -= np.log(x[idx].sum())
-        return g
+        tails = self.dag.compiled.tails
+        # the sink's load is one, so its out-edges (if any) lose log 1 = 0
+        return np.log(x) - np.log(self.dag.vertex_loads(x)[tails])
 
     def hessian_quadform(self, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         _check_positive(x)
-        total = float(np.sum(z * z / x))
-        for _, idx in self._stars:
-            total -= float(z[idx].sum()) ** 2 / float(x[idx].sum())
-        return total
+        stars = self._star_vertices
+        star_z = np.bincount(self.dag.compiled.tails, z, self.dag.n_vertices)[stars]
+        return float(np.sum(z * z / x)) \
+            - float(np.sum(star_z * star_z / self.dag.vertex_loads(x)[stars]))
 
     def hessian_matrix(self, x):
         x = np.asarray(x, dtype=float)
         _check_positive(x)
+        tails = self.dag.compiled.tails
+        same_star = (tails[:, None] == tails) & (tails != self.dag.sink)[:, None]
         h = np.diag(1.0 / x)
-        for _, idx in self._stars:
-            load = x[idx].sum()
-            h[np.ix_(idx, idx)] -= 1.0 / load
+        h -= same_star / self.dag.vertex_loads(x)[tails][:, None]
         return h
 
     def minimizer(self):

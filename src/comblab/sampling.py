@@ -39,7 +39,10 @@ def sample_path(dag, flow, rng):
     ``e`` with probability ``flow[e] / flow[u]``.
 
     The returned indicator vector has expectation exactly ``flow`` whenever
-    ``flow`` is a unit s-t flow.
+    ``flow`` is a unit s-t flow.  Each vertex's draw is the one
+    ``Generator.choice(len(out), p=...)`` makes (cumulative sum, one
+    uniform, binary search), so paths and the generator state afterwards
+    match it bit for bit, without its per-call checks.
 
     Parameters
     ----------
@@ -51,21 +54,30 @@ def sample_path(dag, flow, rng):
     Returns
     -------
     ndarray of 0/1 floats, the edge-indicator of the sampled path.
+
+    Raises :class:`PreconditionError` if ``flow`` has a negative or
+    non-finite entry, and :class:`DegenerateVertex` at a vertex on the way
+    with no outgoing flow.
     """
     flow = np.asarray(flow, dtype=float)
+    if not np.all(np.isfinite(flow)) or flow.min(initial=0.0) < 0.0:
+        raise PreconditionError("flow must be finite and non-negative")
+    out_edges, heads, sink = dag.out_edges, dag.compiled.heads, dag.sink
+    uniform = rng.generator.random
     x = np.zeros(dag.n_edges)
     u = dag.source
-    gen = rng.generator
-    while u != dag.sink:
-        out = dag.out_edges[u]
+    while u != sink:
+        out = out_edges[u]
         mass = flow[out]
-        total = mass.sum()
+        total = np.add.reduce(mass)
         if total <= 1e-12:
             raise DegenerateVertex(f"no outgoing flow at vertex {u}")
-        probs = mass / total
-        e = out[gen.choice(len(out), p=probs)]
+        # gen.choice(len(out), p=mass / total), step for step, minus its checks
+        cdf = (mass / total).cumsum()
+        cdf /= cdf[-1]
+        e = out[cdf.searchsorted(uniform(), side="right")]
         x[e] = 1.0
-        u = dag.edges[e][1]
+        u = int(heads[e])
     return x
 
 

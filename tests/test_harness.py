@@ -237,6 +237,32 @@ def test_trial_error_keeps_the_validation_report(monkeypatch):
     assert (err.trial, err.round) == (0, 1)
 
 
+def test_each_loss_is_validated_once_per_round(monkeypatch):
+    calls = []
+    validate = cl.DecisionSet.validate_loss
+
+    def counting(self, y, *args, **kwargs):
+        calls.append(1)
+        return validate(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(cl.DecisionSet, "validate_loss", counting)
+    cfg = cl.ExperimentConfig("mset:6:2", ["hedge", "omd-mset"], "mset-lb",
+                              horizon=15, trials=2)
+    cl.run_experiment(cfg)
+    assert len(calls) == 2 * 15
+
+
+def test_cli_reports_an_error_in_one_line(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("set=mset:6:2\nlearner=hedge\nadversary=mset-lb\n"
+                       "T=abc\n")
+    assert cli_main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("comblab: PreconditionError: config key T: "
+                            "bad value 'abc'\n")
+
+
 def test_trial_error_keeps_the_solver_residual(monkeypatch):
     import comblab.learners as ln
 

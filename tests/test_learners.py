@@ -9,8 +9,9 @@ from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                random_feasible_loss, random_layered_dag)
 from comblab.domain import mset_selection_dag
 from comblab.learners import weight_pushing_marginals
-from comblab.proximal import (_solve_coords_numpy, flow_prox_newton, mset_prox,
-                               sinkhorn_flow_projection)
+from comblab.proximal import (_solve_coords_numpy, flow_constraints,
+                               flow_prox_newton, mset_prox,
+                               mset_prox_kkt_residual, sinkhorn_flow_projection)
 from comblab.regularizers import NegativeEntropy, uniform_path_flow
 from comblab.sampling import RngStream, sample_path
 
@@ -216,20 +217,18 @@ def test_omd_mset_example_step():
     assert stat <= 1e-9 and card <= 1e-12
 
 
-def test_prox_newton_vs_bisection_vs_compiled():
+def test_prox_newton_vs_bisection():
     rng = RngStream(24, 0)
-    gen = rng.generator
     dset = cl.MSet(10, 4)
     x = np.full(10, 0.4)
-    lam = 0.0
     for _ in range(50):
         y = random_feasible_loss(dset, rng)
         step = 0.2 * y
-        a, _ = mset_prox(x, step, 4)
-        b, _ = mset_prox(x, step, 4, method="newton")
+        a, lam = mset_prox(x, step, 4)
         c, _ = mset_prox(x, step, 4, method="bisect")
-        assert np.max(np.abs(a - b)) <= 1e-11
-        assert np.max(np.abs(b - c)) <= 1e-10
+        stat, card = mset_prox_kkt_residual(a, x, step, 4, lam)
+        assert stat <= 1e-9 and card <= 1e-12
+        assert np.max(np.abs(a - c)) <= 1e-10
         x = a
 
 
@@ -313,6 +312,31 @@ def test_dilated_numeric_matches_fast_path():
 # ---------------------------------------------------------------------------
 # shifted-loss entropy learner
 # ---------------------------------------------------------------------------
+
+def test_dilated_omd_builds_its_kkt_system_once(monkeypatch):
+    # The constraint system and its least-squares multiplier operator
+    # pinv(A^T) are built once per DAG, not once per proximal step.
+    calls = {"pinv": 0, "lstsq": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    dset = cl.build_set("dag-layered:16:32")
+    learner = cl.DilatedOmd(dset, 0.3)
+    stream = cl.GaussianFeasibleStream(dset, 10, RngStream(42, 0))
+    for t in range(1, 11):
+        learner.step(stream.loss(t))
+    assert calls == {"pinv": 1, "lstsq": 0}
+    a_mat, b_vec = flow_constraints(dset.dag)
+    assert a_mat is dset.dag.flow_system[0] and b_vec is dset.dag.flow_system[1]
+
 
 def test_shift_losses_zero():
     shifted, alpha = cl.shift_losses(diamond_dag(), np.zeros(4))

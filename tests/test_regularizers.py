@@ -181,6 +181,81 @@ def test_quadform_matches_grad_finite_difference():
         assert z @ fd == pytest.approx(psi.hessian_quadform(x, z), abs=1e-5)
 
 
+class _StarLoopDilatedEntropy:
+    """In-test copy of the per-out-star loops that ``DilatedEntropy``
+    replaced with gathers by tail."""
+
+    def __init__(self, dag):
+        self.stars = [dag.out_edges[v] for v in range(dag.n_vertices)
+                      if v != dag.sink and len(dag.out_edges[v])]
+
+    @staticmethod
+    def xlogx(a):
+        return np.where(a > 0.0, a * np.log(np.maximum(a, 1e-300)), 0.0)
+
+    def value(self, x):
+        loads = np.array([x[idx].sum() for idx in self.stars])
+        return float(self.xlogx(x).sum() - self.xlogx(loads).sum())
+
+    def grad(self, x):
+        g = np.log(x)
+        for idx in self.stars:
+            g[idx] -= np.log(x[idx].sum())
+        return g
+
+    def hessian_quadform(self, x, z):
+        total = float(np.sum(z * z / x))
+        for idx in self.stars:
+            total -= float(z[idx].sum()) ** 2 / float(x[idx].sum())
+        return total
+
+    def hessian_matrix(self, x):
+        h = np.diag(1.0 / x)
+        for idx in self.stars:
+            h[np.ix_(idx, idx)] -= 1.0 / x[idx].sum()
+        return h
+
+
+def test_dilated_entropy_matches_the_per_star_loops():
+    # numpy sums fewer than 8 numbers in order, as the bincount of the
+    # loads does, so on such stars the value, gradient and Hessian are the
+    # loops' bits; 8-edge stars (dag-layered:64:4096) and the quadratic
+    # form sum in another order and get a tolerance of 64 ulps of the sum
+    # of absolute terms.
+    rng = RngStream(43, 0)
+    gen = rng.generator
+    # an edge out of the sink lies in no out-star
+    dags = [diamond_dag(), cl.Dag(4, [(0, 1), (0, 1), (1, 2), (2, 3)], 0, 2),
+            cl.build_set("dag-layered:64:4096").dag]
+    dags += [random_layered_dag(rng, max_edges=14, max_layers=4)
+             for _ in range(10)]
+    tol = 64 * np.finfo(float).eps
+    kinds = set()
+    for dag in dags:
+        psi, loops = cl.DilatedEntropy(dag), _StarLoopDilatedEntropy(dag)
+        in_order = max(len(idx) for idx in loops.stars) < 8
+        kinds.add(in_order)
+        for k in range(6):
+            x = random_interior_flow(dag, rng)
+            if k % 2 or x.min() <= 0.0:  # any positive vector, not only a flow
+                x = gen.uniform(0.05, 3.0, dag.n_edges)
+            z = gen.standard_normal(dag.n_edges)
+            got = (psi.value(x), psi.grad(x), psi.hessian_matrix(x))
+            want = (loops.value(x), loops.grad(x), loops.hessian_matrix(x))
+            loads = np.array([x[idx].sum() for idx in loops.stars])
+            scales = (np.abs(x * np.log(x)).sum()
+                      + np.abs(loads * np.log(loads)).sum() + 1.0,
+                      np.abs(want[1]) + 1.0, np.abs(want[2]) + 1.0)
+            for g, w, scale in zip(got, want, scales):
+                if in_order:
+                    assert np.array_equal(g, w)
+                else:
+                    assert np.all(np.abs(g - w) <= tol * scale)
+            gap = psi.hessian_quadform(x, z) - loops.hessian_quadform(x, z)
+            assert abs(gap) <= tol * float(np.sum(z * z / x))
+    assert kinds == {True, False}  # both kinds of star were checked
+
+
 # ---------------------------------------------------------------------------
 # entropy equality and minimizers
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import comblab as cl
 from comblab.instances import chain_dag, diamond_dag, parallel_dag
+from comblab.learners import weight_pushing_marginals
 from comblab.sampling import RngStream, sample_explicit, sample_mset, sample_path
 
 
@@ -69,6 +70,56 @@ def test_sample_path_always_valid():
         x = sample_path(dag, flow, rng)
         ok, _ = cl.flow_check(dag, x)
         assert ok
+
+
+def _choice_walk(dag, flow, gen):
+    """The Markovian draw with one ``Generator.choice`` per vertex, which
+    ``sample_path`` reproduces without calling it."""
+    x = np.zeros(dag.n_edges)
+    u = dag.source
+    while u != dag.sink:
+        out = dag.out_edges[u]
+        mass = flow[out]
+        e = out[gen.choice(len(out), p=mass / mass.sum())]
+        x[e] = 1.0
+        u = dag.edges[e][1]
+    return x
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", ["dag-layered:64:4096", "dag-layered:16:32",
+                                  "mset:16:4"])
+def test_sample_path_draws_as_generator_choice(spec):
+    # Pins the draw against numpy's own choice: should numpy change how
+    # choice draws, this fails instead of sampled CSVs moving silently.
+    dag = cl.build_set(spec).path_embedding[0]
+    flow = weight_pushing_marginals(
+        dag, RngStream(44, 0).generator.standard_normal(dag.n_edges))
+    ours, theirs = RngStream(44, 1), RngStream(44, 1)
+    for _ in range(2000):
+        assert np.array_equal(sample_path(dag, flow, ours),
+                              _choice_walk(dag, flow, theirs.generator))
+    assert _same_state(ours.generator.bit_generator.state,
+                       theirs.generator.bit_generator.state)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_sample_path_rejects_a_bad_flow_before_drawing(bad):
+    # Generator.choice rejects such probabilities; the check runs once per
+    # call, on the whole flow, before any draw.
+    dag = diamond_dag()
+    flow = np.array([0.5, 0.5, 0.5, 0.5])
+    flow[3] = bad
+    rng = RngStream(45, 0)
+    with pytest.raises(cl.PreconditionError, match="finite and non-negative"):
+        sample_path(dag, flow, rng)
+    assert _same_state(rng.generator.bit_generator.state,
+                       RngStream(45, 0).generator.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------
