@@ -1,9 +1,10 @@
 """Hedge vs mirror descent on m-sets: the separation experiment.
 
 For each tested learning rate the rate-aware two-phase stream is generated,
-and both learners play the same stream.  Hedge's regret stays above the
-m-set mirror-descent learner's at every rate; the ratio is reported (the
-asymptotic growth factor is not asserted at desk scale).
+and both learners play the same stream (``lb_demo("mset-hedge-lb")``).
+Hedge's regret stays above the m-set mirror-descent learner's at every
+rate; the ratio is reported (the asymptotic growth factor is not asserted
+at desk scale).
 
 Runtime: about a minute.
 """
@@ -11,8 +12,9 @@ Runtime: about a minute.
 import math
 
 import comblab as cl
+from comblab.harness import SEPARATION_INSTANCE, separation_rates
 
-d, m, horizon = 64, 8, 8192
+d, m, horizon = SEPARATION_INSTANCE
 dset = cl.MSet(d, m)
 eta0 = cl.hedge_killer_base_rate(d, m, horizon)
 eta_omd = cl.mset_omd_rate(d, m, horizon)
@@ -23,18 +25,13 @@ print(f"branch threshold eta0 = {eta0:.4f}; "
       f"mirror-descent rate {eta_omd:.4f}; regret bound {bound:.0f}\n")
 
 print(f"{'hedge rate':>15} {'branch':>8} {'hedge':>8} {'omd':>8} {'ratio':>6}")
-for label, eta in [("eta0/2", eta0 / 2), ("eta0", eta0),
-                   ("2*eta0", 2 * eta0),
-                   ("sqrt(ln|X|/T)", cl.default_learning_rate(dset, horizon))]:
+rows = cl.lb_demo("mset-hedge-lb", seed=0)["per_rate"]
+for label, eta in separation_rates(d, m, horizon).items():
+    row = rows[label]
     probe = cl.HedgeKillerStream(d, m, horizon, eta)
-    cfg = cl.ExperimentConfig(
-        f"mset:{d}:{m}", [f"hedge:eta={eta}", "omd-mset"],
-        f"hedge-killer:eta={eta}", horizon=horizon, trials=1, seed=0)
-    res = cl.run_experiment(cfg, decision_set=dset)
-    hr = res.summary[f"hedge:eta={eta}"]["mean_final_regret"]
-    orr = res.summary["omd-mset"]["mean_final_regret"]
     branch = "fixed" if probe.small_branch else "2-phase"
-    print(f"{label:>15} {branch:>8} {hr:8.1f} {orr:8.1f} {hr / orr:6.2f}")
+    print(f"{label:>15} {branch:>8} {row['hedge_regret']:8.1f} "
+          f"{row['omd_regret']:8.1f} {row['ratio']:6.2f}")
 
 print("\nmirror descent under the zero-mean suite streams "
       "(any algorithm pays the sqrt(T)-scale floor here):")

@@ -3,6 +3,7 @@
 Subcommands::
 
     comblab run <config>                     # experiment from a key=value file
+                                             # (--help lists the spec strings)
     comblab equiv-check <dag-file> [...]     # certify OMD/Hedge iterate match
     comblab props [--scope S] [--seed N]     # run the invariant suite
     comblab lb-demo <theorem-id> [--seed N]  # one-shot lower-bound experiment
@@ -19,7 +20,7 @@ from .adversaries import GaussianFeasibleStream
 from .domain import DagPathSet, load_dag
 from .errors import ComblabError
 from .harness import (LB_DEMOS, check_iterate_equivalence, lb_demo,
-                      parse_config, run_experiment)
+                      parse_config, run_experiment, spec_table)
 from .properties import PROPERTIES, run_property_suite
 from .sampling import RngStream
 
@@ -30,7 +31,9 @@ def main(argv=None):
         description="Online learning over combinatorial decision sets")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment config")
+    p_run = sub.add_parser("run", help="run an experiment config",
+                           epilog=spec_table(),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
     p_run.add_argument("config")
 
     p_eq = sub.add_parser("equiv-check",

@@ -1,25 +1,12 @@
-"""Experiment runner: spec-string registries, regret accounting, CSV export,
+"""Experiment runner: the spec-string registry, regret accounting, CSV export,
 the iterate-equivalence certifier, and one-shot lower-bound demos.
 
 Spec strings
 ------------
-Decision sets: ``explicit:<path>``, ``mset:<d>:<m>``,
-``multitask:<d1>,<d2>,...``, ``dag:<path>``, ``dag-layered:<d>:<N>``.
-
-Learners: ``hedge``, ``hedge-dag``, ``omd-mset``, ``omd-dilated``,
-``omd-dilated:numeric=1``, ``omd-entropy-dag``, each optionally
-``:eta=<float>``.  ``hedge`` runs weight pushing on m-sets, multitask sets
-and DAG sets and enumerates only explicit sets; ``hedge-dag`` and
-``omd-dilated`` (equal to path Hedge by iterate equivalence) run the same
-weight pushing on DAG sets only; ``omd-dilated:numeric=1`` solves each
-dilated-entropy proximal step by the KKT Newton oracle instead.
-
-Adversaries: ``universal[:k=<int>]``, ``mset-lb``,
-``hedge-killer[:eta=<float>]``, ``multitask-phases``,
-``dag-layered:<d>:<N>``, ``constant:<path>`` (or ``constant:zero``),
-``gaussian[:scale=<s>]``, each optionally ``:seed=<u64>``.  A spec with the
-wrong number of positional parts, an unknown option or a value that does
-not convert raises :class:`PreconditionError`.
+``name:<part>:...`` then ``:key=value`` options, as the tables :data:`SETS`,
+:data:`LEARNERS` and :data:`ADVERSARIES` define them and :func:`spec_table`
+prints them (``comblab run --help``).  A spec that does not fit its entry
+raises :class:`PreconditionError` naming it, before round 1.
 
 Config files are flat ``key=value`` text with keys ``set``, ``learner``
 (comma-separated), ``adversary``, ``T``, ``trials``, ``seed``, ``mode``,
@@ -28,12 +15,15 @@ Config files are flat ``key=value`` text with keys ``set``, ``learner``
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import adversaries as adv
-from .domain import (DagPathSet, ExplicitSet, MSet, MultitaskSet, load_dag)
+from .domain import (DagPathSet, DecisionSet, ExplicitSet, MSet, MultitaskSet,
+                     load_dag)
 from .errors import ComblabError, InternalConsistencyError, PreconditionError, RangeError
 from .instances import hypercube_set
 from .learners import (DilatedOmd, EntropyDagOmd, MSetOmd, PathHedge,
@@ -63,6 +53,12 @@ class ExperimentConfig:
             raise PreconditionError("need horizon >= 1 and trials >= 1")
         if self.mode not in ("expected", "sampled"):
             raise PreconditionError("mode must be 'expected' or 'sampled'")
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
+        specs = self.learner_specs  # ledgers are keyed by spec
+        if not specs or len(set(specs)) < len(specs):
+            raise PreconditionError(
+                f"need one or more distinct learner specs, got {specs}")
 
 
 _CONFIG_KEYS = ("set", "learner", "adversary", "T", "trials", "seed", "mode",
@@ -110,189 +106,245 @@ def parse_config(path):
     )
 
 
+# ---------------------------------------------------------------------------
+# spec registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Spec:
+    """One spec name.  ``args`` (in order) and ``options`` map each part to
+    the converter of its text.  A set is ``build(*args)``, a learner
+    ``build(decision_set, eta, **options)`` (``eta`` by default
+    ``rate(decision_set, horizon)``), an adversary's stream factory
+    ``build(decision_set, horizon, *args, **options)``.  ``set_class`` is
+    the class a set spec builds, or that a learner or adversary needs."""
+    doc: str
+    build: Callable
+    set_class: type = DecisionSet
+    args: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
+    rate: Callable | None = None
+
+
+def _rate(text):
+    eta = float(text)
+    if not 0 < eta < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {text}")
+    return eta
+
+
+def _uint(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def _flag(text):
     if text not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {text!r}")
     return text == "1"
 
 
-def _int_list(text):
-    return [int(b) for b in text.split(",")]
+def _vertex_file(path):
+    with open(path) as fh:
+        lines = [line.strip() for line in fh]
+    return [[int(b) for b in (line.split() if " " in line else line)]
+            for line in lines if line and not line.startswith("#")]
 
 
-# Spec grammars: name -> (converters of the positional parts, in order;
-# converters of the ``key=value`` options).
-_SET_SPECS = {
-    "mset": ((int, int), {}),
-    "multitask": ((_int_list,), {}),
-    "dag": ((str,), {}),
-    "dag-layered": ((int, int), {}),
-    "explicit": ((str,), {}),
-}
-_LEARNER_SPECS = {
-    "hedge": ((), {"eta": float}),
-    "hedge-dag": ((), {"eta": float}),
-    "omd-mset": ((), {"eta": float}),
-    "omd-dilated": ((), {"eta": float, "numeric": _flag}),
-    "omd-entropy-dag": ((), {"eta": float}),
-}
-_ADVERSARY_SPECS = {
-    "universal": ((), {"k": int, "seed": int}),
-    "mset-lb": ((), {"seed": int}),
-    "hedge-killer": ((), {"eta": float, "seed": int}),
-    "multitask-phases": ((), {"seed": int}),
-    "dag-layered": ((int, int), {"seed": int}),
-    "constant": ((str,), {"seed": int}),
-    "gaussian": ((), {"scale": float, "seed": int}),
-}
+def _loss_file(path):
+    if path == "zero":
+        return None
+    with open(path) as fh:
+        return np.array([float(x) for x in fh.read().split()])
 
 
-def _split_spec(spec, kind, grammar):
-    """Split ``name:part:...`` into ``(name, args, options)``, parts with
-    ``=`` being options, and convert each part by ``grammar``.  A spec that
-    does not fit its grammar raises :class:`PreconditionError`."""
-    name, *parts = spec.split(":")
-    if name not in grammar:
-        raise PreconditionError(f"unknown {kind} spec {spec!r}")
-    arg_types, option_types = grammar[name]
-    args = [part for part in parts if "=" not in part]
-    options = dict(part.split("=", 1) for part in parts if "=" in part)
-    if len(args) != len(arg_types):
+def _universal(dset, horizon, k=None):
+    shattered = adv.find_shattered_set(
+        dset, adv.universal_shattering_size(dset) if k is None else k)
+    return lambda rng: adv.UniversalStream(dset, horizon, rng,
+                                           shattered=shattered)
+
+
+def _hedge_killer(mset, horizon, eta):
+    if eta is None:
+        raise PreconditionError("hedge-killer needs the targeted rate "
+                                "(no eta-bearing learner in this run)")
+    return lambda rng: adv.HedgeKillerStream(mset.dimension, mset.m, horizon,
+                                             eta)
+
+
+def _dag_layered(dset, horizon, d, n_paths):
+    dag, factory, _ = adv.dag_hard_instance(d, n_paths, horizon)
+    if dag.n_edges != dset.dimension:
         raise PreconditionError(
-            f"{kind} spec {spec!r}: {name} takes {len(arg_types)} positional "
-            f"part(s), got {args}")
-    unknown = sorted(set(options) - set(option_types))
-    if unknown:
-        raise PreconditionError(
-            f"{kind} spec {spec!r}: unknown option(s) {unknown}; {name} "
-            f"takes {sorted(option_types)}")
+            "dag-layered adversary shape does not match the decision set; "
+            "use the matching dag-layered set spec")
+    return factory
+
+
+def _constant(dset, horizon, vec):
+    vec = np.zeros(dset.dimension) if vec is None else vec
+    if vec.size != dset.dimension:
+        raise PreconditionError(f"constant adversary vector has {vec.size} "
+                                f"entries, the decision set {dset.dimension}")
+    if not dset.validate_loss(vec).ok:
+        raise PreconditionError("constant adversary vector is infeasible")
+    return lambda rng: adv.ConstantStream(vec, horizon)
+
+
+SETS = {
+    "mset": Spec("d-vectors with exactly m ones", MSet, MSet,
+                 {"d": int, "m": int}),
+    "multitask": Spec("one expert per block of d1, d2, ... experts",
+                      MultitaskSet, MultitaskSet,
+                      {"d1,d2,...": lambda s: [int(b) for b in s.split(",")]}),
+    "dag": Spec("s-t paths of a DAG file", DagPathSet, DagPathSet,
+                {"file": load_dag}),
+    "dag-layered": Spec("s-t paths of a layered DAG, d edges, N paths",
+                        lambda d, n: DagPathSet(adv.layered_dag(d, n)[0]),
+                        DagPathSet, {"d": int, "N": int}),
+    "explicit": Spec("0/1 vertices of a file, one per line", ExplicitSet,
+                     ExplicitSet, {"file": _vertex_file}),
+}
+
+LEARNERS = {
+    "hedge": Spec("Hedge; eta = sqrt(ln|X|/T)", make_hedge,
+                  rate=default_learning_rate),
+    "hedge-dag": Spec("Hedge; eta = sqrt(ln|X|/T)", PathHedge, DagPathSet,
+                      rate=default_learning_rate),
+    "omd-dilated": Spec("dilated OMD, numeric=1 by KKT; eta = sqrt(ln|X|/T)",
+                        lambda dset, eta, numeric=False:
+                        (DilatedOmd if numeric else PathHedge)(dset, eta),
+                        DagPathSet, options={"numeric": _flag},
+                        rate=default_learning_rate),
+    "omd-mset": Spec("m-set OMD; eta = sqrt(2(m + ln(d/m))/(9T))", MSetOmd,
+                     MSet, rate=lambda mset, horizon:
+                     mset_omd_rate(mset.dimension, mset.m, horizon)),
+    "omd-entropy-dag": Spec("entropy OMD; eta = sqrt(ln|X| ln d/T)",
+                            EntropyDagOmd, DagPathSet, rate=dag_entropy_rate),
+}
+
+ADVERSARIES = {
+    "universal": Spec("Rademacher signs on k shattered coordinates",
+                      _universal, options={"k": int}),
+    "mset-lb": Spec("blockwise sign patterns",
+                    lambda mset, horizon: lambda rng: adv.MSetLbStream(
+                        mset.dimension, mset.m, horizon, rng), MSet),
+    "hedge-killer": Spec("beats Hedge at eta (default: first learner's)",
+                         _hedge_killer, MSet, options={"eta": _rate}),
+    "multitask-phases": Spec("per-block phases",
+                             lambda mt, horizon: lambda rng:
+                             adv.MultitaskPhaseStream(mt.block_sizes, horizon,
+                                                      rng), MultitaskSet),
+    "dag-layered": Spec("hard instance; d and N as in the set",
+                        _dag_layered, DagPathSet, {"d": int, "N": int}),
+    "constant": Spec("one vector from a file, or zero, every round",
+                     _constant, args={"file|zero": _loss_file}),
+    "gaussian": Spec("Gaussian losses at scale (0.9) * the unit bound",
+                     lambda dset, horizon, scale=0.9: lambda rng:
+                     adv.GaussianFeasibleStream(dset, horizon, rng,
+                                                scale=scale),
+                     options={"scale": float}),
+}
+
+#: per kind: title, registry, and the options every entry takes
+_KINDS = {"set": ("Decision sets (set=)", SETS, {}),
+          "learner": ("Learners (learner=, comma-separated)", LEARNERS,
+                      {"eta": _rate}),
+          "adversary": ("Adversaries (adversary=)", ADVERSARIES,
+                        {"seed": _uint})}
+
+
+def _usage(name, args, options):  # mset:<d>:<m>, universal[:k=<int>]
+    return (name + "".join(f":<{arg}>" for arg in args)
+            + "".join(f"[:{key}=<{convert.__name__.strip('_')}>]"
+                      for key, convert in options.items()))
+
+
+def spec_table():
+    """Every registered spec: usage, set class and doc, one line each, as
+    ``comblab run --help`` and the README print them."""
+    lines = []
+    for title, registry, common in _KINDS.values():
+        lines.append(title + (f", each also {_usage('', (), common)}"
+                              if common else "") + ":")
+        for name, spec in registry.items():
+            set_class = ("any" if spec.set_class is DecisionSet
+                         else spec.set_class.__name__)
+            lines.append(f"  {_usage(name, spec.args, spec.options):<29}"
+                         f"{set_class:<14}{spec.doc}")
+    return "\n".join(lines)
+
+
+@contextmanager
+def _parsed(spec, kind, decision_set=None):
+    """``(entry, converted args, converted options)`` of ``spec``; raises
+    :class:`PreconditionError`, naming the spec, if the parts or
+    ``decision_set`` do not fit, and names it in one raised in the block."""
     try:
-        return (name, [convert(a) for convert, a in zip(arg_types, args)],
-                {key: option_types[key](val) for key, val in options.items()})
-    except ValueError as err:
-        raise PreconditionError(f"{kind} spec {spec!r}: {err}") from None
+        _, registry, common = _KINDS[kind]
+        name, *parts = spec.split(":")
+        if name not in registry:
+            raise PreconditionError(f"unknown name; known are {list(registry)}")
+        entry = registry[name]
+        converters = {**entry.options, **common}
+        args = [part for part in parts if "=" not in part]
+        options = dict(part.split("=", 1) for part in parts if "=" in part)
+        if len(args) != len(entry.args):
+            raise PreconditionError(f"{name} takes {len(entry.args)} "
+                                    f"positional part(s), got {args}")
+        unknown = sorted(set(options) - set(converters))
+        if unknown:
+            raise PreconditionError(f"unknown option(s) {unknown}; {name} "
+                                    f"takes {sorted(converters)}")
+        try:
+            args = [convert(a) for convert, a in zip(entry.args.values(), args)]
+            options = {k: converters[k](val) for k, val in options.items()}
+        except (ValueError, OSError) as err:
+            raise PreconditionError(str(err)) from None
+        if decision_set is not None and not isinstance(decision_set,
+                                                       entry.set_class):
+            raise PreconditionError(f"needs a {entry.set_class.__name__}, "
+                                    f"got a {type(decision_set).__name__}")
+        yield entry, args, options
+    except PreconditionError as err:
+        err.args = (f"{kind} spec {spec!r}: {err}",)
+        raise
 
 
 def build_set(spec):
-    """Decision set from its spec string."""
-    name, args, _ = _split_spec(spec, "set", _SET_SPECS)
-    if name == "mset":
-        return MSet(*args)
-    if name == "multitask":
-        return MultitaskSet(args[0])
-    if name == "dag":
-        return DagPathSet(load_dag(args[0]))
-    if name == "dag-layered":
-        dag, _, _ = adv.layered_dag(*args)
-        return DagPathSet(dag)
-    return ExplicitSet(_load_vectors(args[0]))  # explicit
-
-
-def _load_vectors(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            bits = line.split() if " " in line else list(line)
-            rows.append([int(b) for b in bits])
-    return rows
+    """Decision set from its spec string (:data:`SETS`)."""
+    with _parsed(spec, "set") as (entry, args, _):
+        return entry.build(*args)
 
 
 def build_learner(spec, decision_set, horizon, eta_override=None):
-    """Fresh learner instance from its spec string."""
-    name, _, options = _split_spec(spec, "learner", _LEARNER_SPECS)
-    eta = options.get("eta", eta_override)
-
-    if name == "hedge":
-        learner = make_hedge(decision_set, eta if eta is not None
-                             else default_learning_rate(decision_set, horizon))
-    elif name in ("hedge-dag", "omd-dilated"):
-        if not isinstance(decision_set, DagPathSet):
-            raise PreconditionError(f"{name} needs a dag decision set")
-        learner = (DilatedOmd if options.get("numeric") else PathHedge)(
-            decision_set, eta if eta is not None
-            else default_learning_rate(decision_set, horizon))
-    elif name == "omd-mset":
-        if not isinstance(decision_set, MSet):
-            raise PreconditionError("omd-mset needs an mset decision set")
-        learner = MSetOmd(decision_set, eta if eta is not None
-                          else mset_omd_rate(decision_set.dimension,
-                                             decision_set.m, horizon))
-    else:  # omd-entropy-dag
-        learner = EntropyDagOmd(decision_set, eta if eta is not None
-                                else dag_entropy_rate(decision_set, horizon))
+    """Fresh learner instance from its spec string (:data:`LEARNERS`)."""
+    with _parsed(spec, "learner", decision_set) as (entry, _, options):
+        eta = options.pop("eta", eta_override)
+        learner = entry.build(decision_set, entry.rate(decision_set, horizon)
+                              if eta is None else eta, **options)
     learner.name = spec
     return learner
 
 
 def build_adversary(spec, decision_set, horizon, learner_eta=None):
-    """Stream factory ``f(rng) -> LossStream`` from an adversary spec string.
+    """Stream factory ``f(rng) -> LossStream`` from an adversary spec string
+    (:data:`ADVERSARIES`); an ``eta`` option defaults to ``learner_eta``.
 
-    A ``:seed=<u64>`` part pins the adversary's own randomness regardless
+    A ``:seed=<uint>`` part pins the adversary's own randomness regardless
     of the experiment master seed (trial indices still vary the stream).
     """
-    name, args, options = _split_spec(spec, "adversary", _ADVERSARY_SPECS)
-    factory = _build_adversary_factory(name, args, options, decision_set,
-                                       horizon, learner_eta)
-    if "seed" in options:
-        seed = options["seed"]
-        inner = factory
-        factory = lambda rng: inner(RngStream(seed, *rng.key))
-    return factory
-
-
-def _build_adversary_factory(name, args, options, decision_set, horizon,
-                             learner_eta):
-    if name == "universal":
-        k = (options["k"] if "k" in options
-             else adv.universal_shattering_size(decision_set))
-        shattered = adv.find_shattered_set(decision_set, k)
-        return lambda rng: adv.UniversalStream(decision_set, horizon, rng,
-                                               shattered=shattered)
-    if name == "mset-lb":
-        if not isinstance(decision_set, MSet):
-            raise PreconditionError("mset-lb needs an mset decision set")
-        d, m = decision_set.dimension, decision_set.m
-        return lambda rng: adv.MSetLbStream(d, m, horizon, rng)
-    if name == "hedge-killer":
-        if not isinstance(decision_set, MSet):
-            raise PreconditionError("hedge-killer needs an mset decision set")
-        eta = options.get("eta", learner_eta)
-        if eta is None:
-            raise PreconditionError("hedge-killer needs the targeted rate "
-                                    "(no eta-bearing learner in this run)")
-        d, m = decision_set.dimension, decision_set.m
-        return lambda rng: adv.HedgeKillerStream(d, m, horizon, eta)
-    if name == "multitask-phases":
-        if not isinstance(decision_set, MultitaskSet):
-            raise PreconditionError("multitask-phases needs a multitask set")
-        sizes = decision_set.block_sizes
-        return lambda rng: adv.MultitaskPhaseStream(sizes, horizon, rng)
-    if name == "dag-layered":
-        if not isinstance(decision_set, DagPathSet):
-            raise PreconditionError("dag-layered needs a dag decision set")
-        dag, first_hops, _ = adv.layered_dag(*args)
-        if dag.n_edges != decision_set.dimension:
-            raise PreconditionError(
-                "dag-layered adversary shape does not match the decision set; "
-                "use the matching dag-layered set spec")
-        return lambda rng: adv.DagLayeredStream(first_hops, dag.n_edges,
-                                                horizon, rng)
-    if name == "constant":
-        if args[0] == "zero":
-            vec = np.zeros(decision_set.dimension)
-        else:
-            with open(args[0]) as fh:
-                vec = np.array([float(x) for x in fh.read().split()])
-        report = decision_set.validate_loss(vec)
-        if not report.ok:
-            raise PreconditionError("constant adversary vector is infeasible")
-        return lambda rng: adv.ConstantStream(vec, horizon)
-    scale = options.get("scale", 0.9)  # gaussian
-    return lambda rng: adv.GaussianFeasibleStream(decision_set, horizon, rng,
-                                                  scale=scale)
+    with _parsed(spec, "adversary", decision_set) as (entry, args, options):
+        seed = options.pop("seed", None)
+        if "eta" in entry.options:
+            options.setdefault("eta", learner_eta)
+        factory = entry.build(decision_set, horizon, *args, **options)
+    if seed is None:
+        return factory
+    return lambda rng: factory(RngStream(seed, *rng.key))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +539,10 @@ def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
     gaps = np.zeros(horizon)
     for t in range(1, horizon + 1):
         y = stream.loss(t)
-        p_omd = omd.step(y)
-        p_hedge = hedge.step(y)
-        gaps[t - 1] = float(np.max(np.abs(p_omd - p_hedge)))
+        check_loss(dset, y)
+        gaps[t - 1] = float(np.max(np.abs(omd.propose() - hedge.propose())))
+        omd.absorb(y)
+        hedge.absorb(y)
     return EquivalenceReport(gaps, tol)
 
 
@@ -528,15 +581,23 @@ def _demo_mset_lb(seed):
     }
 
 
-def _demo_mset_hedge_lb(seed):
-    d, m, horizon = 64, 8, 8192
-    dset = MSet(d, m)
+#: the m-set and horizon of ``lb_demo("mset-hedge-lb")``
+SEPARATION_INSTANCE = (64, 8, 8192)
+
+
+def separation_rates(d, m, horizon):
+    """Hedge's rates in ``lb_demo("mset-hedge-lb")``, by label."""
     eta0 = adv.hedge_killer_base_rate(d, m, horizon)
-    rates = {"eta0/2": eta0 / 2, "eta0": eta0, "2*eta0": 2 * eta0,
-             "sqrt(ln|X|/T)": default_learning_rate(dset, horizon)}
+    return {"eta0/2": eta0 / 2, "eta0": eta0, "2*eta0": 2 * eta0,
+            "sqrt(ln|X|/T)": default_learning_rate(MSet(d, m), horizon)}
+
+
+def _demo_mset_hedge_lb(seed):
+    d, m, horizon = SEPARATION_INSTANCE
+    dset = MSet(d, m)
     rows = {}
-    for label, eta in rates.items():
-        cfg = ExperimentConfig("mset:64:8", [f"hedge:eta={eta}", "omd-mset"],
+    for label, eta in separation_rates(d, m, horizon).items():
+        cfg = ExperimentConfig(f"mset:{d}:{m}", [f"hedge:eta={eta}", "omd-mset"],
                                f"hedge-killer:eta={eta}", horizon=horizon,
                                trials=1, seed=seed)
         res = run_experiment(cfg, decision_set=dset)

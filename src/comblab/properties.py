@@ -2,11 +2,14 @@
 
 Each property draws its own randomness from a seeded stream, records the
 worst margin it observed (positive margin = slack, negative = violation),
-and never raises on failure: failures are data for the report.
+and never raises on failure: failures are data for the report.  A check
+the acceptance criteria share takes its stream, counts, cases and
+tolerance; its registered ``prop_*`` passes the suite's own.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,8 @@ class PropertyResult:
     worst_margin: float
     passed: bool
     detail: str = ""
+    #: worst value of each checked quantity, by name (not printed)
+    extremes: dict = field(default_factory=dict)
 
     def line(self):
         flag = "pass" if self.passed else "FAIL"
@@ -40,10 +45,11 @@ class PropertyResult:
                 f"worst margin {self.worst_margin:.3e} {self.detail}")
 
 
-def _result(name, scope, samples, margins, threshold=0.0, detail=""):
+def _result(name, scope, samples, margins, threshold=0.0, detail="",
+            **extremes):
     worst = float(np.min(margins)) if len(margins) else float("inf")
     return PropertyResult(name, scope, samples, worst, worst >= -abs(threshold),
-                          detail)
+                          detail, extremes)
 
 
 # ---------------------------------------------------------------------------
@@ -73,20 +79,25 @@ def prop_dual_norm_enumeration(seed):
     return _result("dual_norm_matches_enumeration", "domain", total, margins)
 
 
-def prop_primal_norm_bound(seed):
-    rng = RngStream(seed, 102)
+def primal_norm_bound(rng, cases, z_scale, tol=1e-8):
+    """Primal norm <= ``3|z|_inf + |z|_1/m + tol`` on ``MSet(d, m)``, for
+    ``reps`` normal ``z`` scaled by ``uniform(*z_scale)`` per (d, m, reps)."""
     gen = rng.generator
     margins = []
-    total = 0
-    for d, m in ((6, 2), (9, 3), (12, 4)):
+    for d, m, reps in cases:
         dset = MSet(d, m)
-        for _ in range(67):
-            z = gen.standard_normal(d) * gen.uniform(0.3, 3.0)
+        for _ in range(reps):
+            z = gen.standard_normal(d) * gen.uniform(*z_scale)
             lhs = primal_norm_bruteforce(dset, z)
             rhs = 3.0 * np.max(np.abs(z)) + np.sum(np.abs(z)) / m
-            margins.append(rhs + 1e-8 - lhs)
-            total += 1
-    return _result("primal_norm_linf_l1_bound", "domain", total, margins)
+            margins.append(rhs + tol - lhs)
+    return _result("primal_norm_linf_l1_bound", "domain", len(margins),
+                   margins)
+
+
+def prop_primal_norm_bound(seed):
+    return primal_norm_bound(RngStream(seed, 102),
+                             ((6, 2, 67), (9, 3, 67), (12, 4, 67)), (0.3, 3.0))
 
 
 def prop_norm_duality(seed):
@@ -148,61 +159,72 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-def prop_mset_strong_convexity(seed):
-    rng = RngStream(seed, 202)
+def mset_strong_convexity(rng, count, z_scale=None, tol=1e-9):
+    """``<z, H(x) z> - <y, z>^2 / 9 >= -tol`` (the ``slack``) for the m-set
+    regularizer at ``count`` random points, d in 4..10, normal ``z`` scaled
+    by ``uniform(*z_scale)`` if given."""
     gen = rng.generator
-    margins = []
-    for i in range(500):
+    slacks = []
+    for _ in range(count):
         d = int(gen.integers(4, 11))
         m = int(gen.integers(1, d // 2 + 1))
         mset = MSet(d, m)
         phi = MSetRegularizer(d, m)
         x = random_mset_interior(mset, rng)
         z = gen.standard_normal(d)
+        if z_scale is not None:
+            z = z * gen.uniform(*z_scale)
         y = random_feasible_loss(mset, rng, scale=1.0)
-        lhs = phi.hessian_quadform(x, z)
-        rhs = float(y @ z) ** 2 / 9.0
-        margins.append(lhs - rhs + 1e-9)
+        slacks.append(phi.hessian_quadform(x, z) - float(y @ z) ** 2 / 9.0)
     return _result("mset_regularizer_ninth_strong_convexity", "regularizers",
-                   500, margins)
+                   count, [slack + tol for slack in slacks], slack=min(slacks))
 
 
-def prop_dilated_strong_convexity(seed):
-    rng = RngStream(seed, 203)
+def dilated_strong_convexity(rng, count, tol=1e-9):
+    """``10 <z, H(x) z> - <y, z>^2 >= -tol`` (the ``slack``) for dilated
+    entropy at ``count`` random points, 25 per random layered DAG."""
     gen = rng.generator
-    margins = []
-    count = 0
-    while count < 500:
+    slacks = []
+    while len(slacks) < count:
         dag = random_layered_dag(rng, max_edges=12)
         psi = DilatedEntropy(dag)
         dset = DagPathSet(dag)
-        for _ in range(25):
+        for _ in range(min(25, count - len(slacks))):
             x = random_interior_flow(dag, rng)
             z = random_span_direction(dag, rng) * gen.uniform(0.2, 2.0)
             y = random_feasible_loss(dset, rng, scale=1.0)
-            lhs = 10.0 * psi.hessian_quadform(x, z)
-            rhs = float(y @ z) ** 2
-            margins.append(lhs - rhs + 1e-9)
-            count += 1
-            if count >= 500:
-                break
+            slacks.append(10.0 * psi.hessian_quadform(x, z) - float(y @ z) ** 2)
     return _result("dilated_entropy_tenth_strong_convexity", "regularizers",
-                   count, margins)
+                   count, [slack + tol for slack in slacks], slack=min(slacks))
+
+
+def prop_mset_strong_convexity(seed):
+    return mset_strong_convexity(RngStream(seed, 202), 500)
+
+
+def prop_dilated_strong_convexity(seed):
+    return dilated_strong_convexity(RngStream(seed, 203), 500)
+
+
+def entropy_equality(rng, dags, max_edges, tol=1e-10):
+    """Dilated entropy is the path-entropy sum within ``tol`` (the ``gap``)
+    at an interior flow of each of ``dags`` random layered DAGs."""
+    gaps = []
+    for _ in range(dags):
+        dag = random_layered_dag(rng, max_edges=max_edges, max_paths=20)
+        psi = DilatedEntropy(dag)
+        x = random_interior_flow(dag, rng)
+        gaps.append(abs(psi.value(x) - path_entropy_sum(dag, x)))
+    return _result("dilated_equals_path_entropy", "regularizers", dags,
+                   [tol - gap for gap in gaps], gap=max(gaps))
 
 
 def prop_entropy_equality(seed):
-    rng = RngStream(seed, 204)
-    margins = []
-    for _ in range(50):
-        dag = random_layered_dag(rng, max_edges=14, max_paths=20)
-        psi = DilatedEntropy(dag)
-        x = random_interior_flow(dag, rng)
-        gap = abs(psi.value(x) - path_entropy_sum(dag, x))
-        margins.append(1e-10 - gap)
-    return _result("dilated_equals_path_entropy", "regularizers", 50, margins)
+    return entropy_equality(RngStream(seed, 204), 50, max_edges=14)
 
 
-def prop_bregman_range(seed):
+def prop_bregman_range(seed=None):
+    """Deterministic: every m-set with d <= 10, so ``seed`` is unused."""
     margins = []
     total = 0
     for d in range(2, 11):
@@ -288,24 +310,31 @@ def prop_omd_interiority_and_kkt(seed):
                           worst, min(margins) > 0 and min(kkt_margins) >= 0)
 
 
-def prop_shift_losses(seed):
-    rng = RngStream(seed, 304)
-    margins = []
-    total = 0
-    for _ in range(40):
+def loss_shift(rng, dags, per_dag, tol=1e-12):
+    """Shifted losses: every ``entry`` >= -tol, each path's shift
+    ``deviation`` from alpha <= tol, each path's sum of ``squares`` <= 4
+    (+1e-9), for ``per_dag`` losses on each of ``dags`` random DAGs."""
+    margins, entries, deviations, squares = [], [], [], []
+    for _ in range(dags):
         dag = random_layered_dag(rng, max_edges=14, max_paths=40)
         dset = DagPathSet(dag)
         paths = np.asarray(dag.enumerate_paths())
-        for _ in range(25):
+        for _ in range(per_dag):
             y = random_feasible_loss(dset, rng)
             shifted, alpha = shift_losses(dag, y)
-            margins.append(float(shifted.min()) + 1e-12)
+            entries.append(float(shifted.min()))
             deltas = paths @ shifted - paths @ y
-            margins.append(1e-12 - float(np.max(np.abs(deltas - alpha))))
-            margins.append(4.0 + 1e-9 - float(np.max(paths @ (shifted ** 2))))
-            total += 1
+            deviations.append(float(np.max(np.abs(deltas - alpha))))
+            squares.append(float(np.max(paths @ (shifted ** 2))))
+            margins += [entries[-1] + tol, tol - deviations[-1],
+                        4.0 + 1e-9 - squares[-1]]
     return _result("loss_shift_nonneg_constant_bounded", "learners",
-                   total, margins)
+                   len(entries), margins, entry=min(entries),
+                   deviation=max(deviations), squares=max(squares))
+
+
+def prop_shift_losses(seed):
+    return loss_shift(RngStream(seed, 304), 40, 25)
 
 
 def prop_entropy_omd_matches_newton(seed):
@@ -332,61 +361,63 @@ def prop_entropy_omd_matches_newton(seed):
 # sampling
 # ---------------------------------------------------------------------------
 
-def prop_sampler_marginals(seed):
-    n = 100_000
+class SamplerCase(NamedTuple):
+    """One sampler under test: ``sample(rng)`` draws a vertex, which must
+    satisfy ``valid`` (if given); the mean of the draws must lie within
+    4 sigma + ``slack`` of ``target`` (if given)."""
+    sample: Callable
+    rng: RngStream
+    target: np.ndarray | None = None
+    valid: Callable | None = None
+    slack: float = 0.0
+
+
+def samplers(name, cases, draws):
+    """``draws`` vertices from each :class:`SamplerCase`."""
     margins = []
-    # m-set sampler, including a capped coordinate
-    policy = np.array([1.0, 0.6, 0.4])
-    rng = RngStream(seed, 401)
-    counts = np.zeros(3)
-    for _ in range(n):
-        x = sample_mset(policy, 2, rng)
-        counts += x
-    emp = counts / n
-    band = 4.0 * np.sqrt(policy * (1 - policy) / n)
-    margins.extend((band + 1e-12 - np.abs(emp - policy)).tolist())
-    # path sampler on the diamond
-    dag = diamond_dag()
-    flow = np.array([0.3, 0.7, 0.3, 0.7])
-    rng = RngStream(seed, 402)
-    counts = np.zeros(4)
-    for _ in range(n):
-        counts += sample_path(dag, flow, rng)
-    emp = counts / n
-    band = 4.0 * np.sqrt(flow * (1 - flow) / n)
-    margins.extend((band + 1e-12 - np.abs(emp - flow)).tolist())
-    # categorical over two vertices, weights (1, e)
-    verts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    w = np.array([1.0, math.e])
-    rng = RngStream(seed, 403)
-    counts = np.zeros(2)
-    for _ in range(n):
-        counts += sample_explicit(verts, w, rng)
-    emp = counts / n
-    target = w / w.sum()
-    band = 4.0 * np.sqrt(target * (1 - target) / n)
-    margins.extend((band - np.abs(emp - target)).tolist())
-    return _result("sampler_marginals_within_4_sigma", "sampling",
-                   3 * n, margins)
+    for sample, rng, target, valid, slack in cases:
+        counts = np.zeros(len(target)) if target is not None else None
+        all_valid = True
+        for _ in range(draws):
+            x = sample(rng)
+            if valid is not None and not valid(x):
+                all_valid = False
+            if counts is not None:
+                counts += x
+        if valid is not None:
+            margins.append(0.0 if all_valid else -1.0)
+        if target is not None:
+            band = 4.0 * np.sqrt(target * (1 - target) / draws)
+            margins.extend((band + slack - np.abs(counts / draws - target))
+                           .tolist())
+    return _result(name, "sampling", len(cases) * draws, margins)
+
+
+def prop_sampler_marginals(seed):
+    policy = np.array([1.0, 0.6, 0.4])  # with a capped coordinate
+    dag, flow = diamond_dag(), np.array([0.3, 0.7, 0.3, 0.7])
+    verts, w = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, math.e])
+    return samplers("sampler_marginals_within_4_sigma", [
+        SamplerCase(lambda rng: sample_mset(policy, 2, rng),
+                    RngStream(seed, 401), policy, slack=1e-12),
+        SamplerCase(lambda rng: sample_path(dag, flow, rng),
+                    RngStream(seed, 402), flow),
+        SamplerCase(lambda rng: sample_explicit(verts, w, rng),
+                    RngStream(seed, 403), w / w.sum()),
+    ], 100_000)
 
 
 def prop_sampler_exactness(seed):
     rng = RngStream(seed, 404)
-    gen = rng.generator
-    margins = []
     dag = random_layered_dag(rng, max_edges=12)
-    dset = DagPathSet(dag)
     flow = random_interior_flow(dag, rng)
-    for _ in range(2000):
-        x = sample_path(dag, flow, rng)
-        ok, res = flow_check(dag, x)
-        margins.append(0.0 if ok else -res)
-    mset = MSet(9, 3)
-    policy = random_mset_interior(mset, rng)
-    for _ in range(2000):
-        x = sample_mset(policy, 3, rng)
-        margins.append(0.0 if int(x.sum()) == 3 else -1.0)
-    return _result("samplers_emit_exact_vertices", "sampling", 4000, margins)
+    policy = random_mset_interior(MSet(9, 3), rng)
+    return samplers("samplers_emit_exact_vertices", [
+        SamplerCase(lambda r: sample_path(dag, flow, r), rng,
+                    valid=lambda x: flow_check(dag, x)[0]),
+        SamplerCase(lambda r: sample_mset(policy, 3, r), rng,
+                    valid=lambda x: int(x.sum()) == 3),
+    ], 2000)
 
 
 def prop_sampler_determinism(seed):

@@ -3,6 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  Tolerances are fixed
 here, not tuned: policy gaps at 1e-6, entropy equality at 1e-10,
 strong-convexity slack at 1e-9, regret bounds at their closed-form values.
+A criterion that shares a check with the invariant suite
+(``comblab.properties``) or a lower-bound demo (``lb_demo``) calls it with
+its own stream, counts and tolerance.
 """
 
 import math
@@ -11,10 +14,9 @@ import time
 import numpy as np
 
 import comblab as cl
-from comblab.instances import (diamond_dag, hypercube_set, parallel_dag,
-                               random_feasible_loss, random_interior_flow,
-                               random_layered_dag, random_mset_interior,
-                               random_span_direction)
+from comblab import properties as props
+from comblab.instances import diamond_dag, parallel_dag, random_layered_dag
+from comblab.properties import SamplerCase
 from comblab.sampling import RngStream, sample_explicit, sample_mset, sample_path
 
 
@@ -45,87 +47,40 @@ def test_criterion_1_iterate_equivalence():
 
 def test_criterion_2_entropy_equality():
     """Dilated-entropy value equals the path-distribution entropy sum."""
-    rng = RngStream(1002, 0)
-    worst = 0.0
-    for _ in range(100):
-        dag = random_layered_dag(rng, max_edges=16, max_paths=20)
-        psi = cl.DilatedEntropy(dag)
-        flow = random_interior_flow(dag, rng)
-        gap = abs(psi.value(flow) - cl.path_entropy_sum(dag, flow))
-        worst = max(worst, gap)
-    report(2, worst <= 1e-10,
-           f"100 DAGs (<=20 paths): max |value - path-entropy| {worst:.3e} "
-           f"(tol 1e-10)")
+    res = props.entropy_equality(RngStream(1002, 0), 100, max_edges=16,
+                                 tol=1e-10)
+    report(2, res.passed,
+           f"100 DAGs (<=20 paths): max |value - path-entropy| "
+           f"{res.extremes['gap']:.3e} (tol 1e-10)")
 
 
 def test_criterion_3_strong_convexity():
     """Hessian quadratic forms dominate the squared pairing."""
-    rng = RngStream(1003, 0)
-    gen = rng.generator
-    worst_mset = math.inf
-    for _ in range(500):
-        d = int(gen.integers(4, 11))
-        m = int(gen.integers(1, d // 2 + 1))
-        mset = cl.MSet(d, m)
-        phi = cl.MSetRegularizer(d, m)
-        x = random_mset_interior(mset, rng)
-        z = gen.standard_normal(d) * gen.uniform(0.2, 2.0)
-        y = random_feasible_loss(mset, rng, scale=1.0)
-        worst_mset = min(worst_mset,
-                         phi.hessian_quadform(x, z) - float(y @ z) ** 2 / 9.0)
-    worst_dag = math.inf
-    count = 0
-    while count < 500:
-        dag = random_layered_dag(rng, max_edges=12)
-        psi = cl.DilatedEntropy(dag)
-        dset = cl.DagPathSet(dag)
-        for _ in range(25):
-            x = random_interior_flow(dag, rng)
-            z = random_span_direction(dag, rng) * gen.uniform(0.2, 2.0)
-            y = random_feasible_loss(dset, rng, scale=1.0)
-            worst_dag = min(worst_dag,
-                            10.0 * psi.hessian_quadform(x, z) - float(y @ z) ** 2)
-            count += 1
-            if count >= 500:
-                break
-    ok = worst_mset >= -1e-9 and worst_dag >= -1e-9
-    report(3, ok,
-           f"500 triples each: m-set slack {worst_mset:.3e}, "
-           f"dilated slack {worst_dag:.3e} (violations beyond 1e-9: none)")
+    rng = RngStream(1003, 0)  # one stream for both halves, in this order
+    mset = props.mset_strong_convexity(rng, 500, z_scale=(0.2, 2.0), tol=1e-9)
+    dag = props.dilated_strong_convexity(rng, 500, tol=1e-9)
+    report(3, mset.passed and dag.passed,
+           f"500 triples each: m-set slack {mset.extremes['slack']:.3e}, "
+           f"dilated slack {dag.extremes['slack']:.3e} "
+           f"(violations beyond 1e-9: none)")
 
 
 def test_criterion_4_bregman_range():
     """Divergence from the regularizer minimizer to any vertex is bounded."""
-    worst = math.inf
-    cases = 0
-    for d in range(2, 11):
-        for m in range(1, d // 2 + 1):
-            phi = cl.MSetRegularizer(d, m)
-            centre = phi.minimizer()
-            bound = m + math.log(d / m) + 1e-9
-            for v in cl.MSet(d, m).enumerate_vertices():
-                worst = min(worst, bound - phi.bregman(v, centre))
-                cases += 1
-    report(4, worst >= 0.0,
-           f"all (d<=10, m<=d/2), {cases} vertices: min slack to "
-           f"m + ln(d/m) + 1e-9 is {worst:.3e}")
+    res = props.prop_bregman_range()
+    report(4, res.passed,
+           f"all (d<=10, m<=d/2), {res.samples} vertices: min slack to "
+           f"m + ln(d/m) + 1e-9 is {res.worst_margin:.3e}")
 
 
 def test_criterion_5_primal_norm_bound():
     """LP-oracle primal norm obeys the 3*linf + l1/m bound."""
-    rng = RngStream(1005, 0)
-    gen = rng.generator
-    worst = math.inf
-    for d, m, reps in ((6, 2, 66), (10, 3, 67), (12, 5, 67)):
-        dset = cl.MSet(d, m)
-        for _ in range(reps):
-            z = gen.standard_normal(d) * gen.uniform(0.2, 3.0)
-            lhs = cl.primal_norm_bruteforce(dset, z)
-            rhs = 3.0 * float(np.max(np.abs(z))) + float(np.sum(np.abs(z))) / m
-            worst = min(worst, rhs + 1e-8 - lhs)
-    report(5, worst >= 0.0,
-           f"200 z on m-sets (d<=12): min slack {worst:.3e} against "
-           f"3*|z|_inf + |z|_1/m + 1e-8")
+    res = props.primal_norm_bound(RngStream(1005, 0),
+                                  ((6, 2, 66), (10, 3, 67), (12, 5, 67)),
+                                  (0.2, 3.0), tol=1e-8)
+    report(5, res.passed,
+           f"{res.samples} z on m-sets (d<=12): min slack "
+           f"{res.worst_margin:.3e} against 3*|z|_inf + |z|_1/m + 1e-8")
 
 
 def test_criterion_6_mset_omd_upper_bound():
@@ -160,37 +115,23 @@ def test_criterion_7_hedge_omd_separation():
     algorithm above sqrt(T*|I|/8)-scale regret at this horizon, which
     already exceeds Hedge's own loss on the targeted stream at the small
     rates; the meaningful desk-scale comparison (and the one asserted) is
-    both learners on the SAME targeted stream per rate.  The suite-worst
-    regrets are reported alongside.  The asymptotic sqrt(log d) factor is
-    reported, never asserted.
+    both learners on the SAME targeted stream per rate, as
+    ``lb_demo("mset-hedge-lb")`` plays them.  The suite-worst regrets are
+    reported alongside.  The asymptotic sqrt(log d) factor is reported,
+    never asserted.
     """
-    d, m, horizon = 64, 8, 8192
-    dset = cl.MSet(d, m)
-    eta0 = cl.hedge_killer_base_rate(d, m, horizon)
-    rates = {
-        "eta0/2": eta0 / 2,
-        "eta0": eta0,
-        "2*eta0": 2 * eta0,
-        "sqrt(ln|X|/T)": cl.default_learning_rate(dset, horizon),
-    }
-    ok = True
-    lines = []
-    for label, eta in rates.items():
-        cfg = cl.ExperimentConfig(
-            f"mset:{d}:{m}", [f"hedge:eta={eta}", "omd-mset"],
-            f"hedge-killer:eta={eta}", horizon=horizon, trials=1, seed=1007)
-        res = cl.run_experiment(cfg, decision_set=dset)
-        hedge_regret = res.summary[f"hedge:eta={eta}"]["mean_final_regret"]
-        omd_regret = res.summary["omd-mset"]["mean_final_regret"]
-        ok = ok and hedge_regret > omd_regret
-        lines.append(f"{label}: hedge {hedge_regret:.1f} vs omd "
-                     f"{omd_regret:.1f} (ratio {hedge_regret / omd_regret:.2f})")
+    rows = cl.lb_demo("mset-hedge-lb", seed=1007)["per_rate"]
+    ok = all(row["hedge_regret"] > row["omd_regret"] for row in rows.values())
+    lines = [f"{label}: hedge {row['hedge_regret']:.1f} vs omd "
+             f"{row['omd_regret']:.1f} (ratio {row['ratio']:.2f})"
+             for label, row in rows.items()]
     # context: the learner's regret under the zero-mean suite streams
+    d, m, horizon = cl.harness.SEPARATION_INSTANCE
     side = []
     for adv_spec in ("universal", "mset-lb"):
         cfg = cl.ExperimentConfig(f"mset:{d}:{m}", ["omd-mset"], adv_spec,
                                   horizon=horizon, trials=20, seed=1007)
-        res = cl.run_experiment(cfg, decision_set=dset)
+        res = cl.run_experiment(cfg, decision_set=cl.MSet(d, m))
         side.append(f"{adv_spec}: {res.summary['omd-mset']['mean_final_regret']:.1f}")
     report(7, ok, "; ".join(lines)
            + "  [omd under zero-mean suite streams (reported): "
@@ -200,105 +141,49 @@ def test_criterion_7_hedge_omd_separation():
 def test_criterion_8_loss_shift_properties():
     """Shifted losses: non-negative, constant per-path shift, bounded
     per-path sum of squares."""
-    rng = RngStream(1008, 0)
-    min_entry = math.inf
-    max_shift_dev = 0.0
-    max_sq = 0.0
-    pairs = 0
-    while pairs < 10_000:
-        dag = random_layered_dag(rng, max_edges=14, max_paths=40)
-        dset = cl.DagPathSet(dag)
-        paths = np.asarray(dag.enumerate_paths())
-        for _ in range(100):
-            y = random_feasible_loss(dset, rng)
-            shifted, alpha = cl.shift_losses(dag, y)
-            min_entry = min(min_entry, float(shifted.min()))
-            dev = np.max(np.abs((paths @ shifted - paths @ y) - alpha))
-            max_shift_dev = max(max_shift_dev, float(dev))
-            max_sq = max(max_sq, float(np.max(paths @ (shifted ** 2))))
-            pairs += 1
-            if pairs >= 10_000:
-                break
-    ok = (min_entry >= -1e-12 and max_shift_dev <= 1e-12
-          and max_sq <= 4.0 + 1e-9)
-    report(8, ok,
-           f"{pairs} (DAG, y) pairs: min shifted entry {min_entry:.2e} "
-           f"(>= -1e-12), worst per-path shift deviation {max_shift_dev:.2e} "
-           f"(<= 1e-12), max per-path sum of squares {max_sq:.6f} (<= 4+1e-9)")
+    res = props.loss_shift(RngStream(1008, 0), 100, 100, tol=1e-12)
+    worst = res.extremes
+    report(8, res.passed,
+           f"{res.samples} (DAG, y) pairs: min shifted entry "
+           f"{worst['entry']:.2e} (>= -1e-12), worst per-path shift deviation "
+           f"{worst['deviation']:.2e} (<= 1e-12), max per-path sum of squares "
+           f"{worst['squares']:.6f} (<= 4+1e-9)")
 
 
 def test_criterion_9_universal_lower_bound_mc():
     """Measured Hedge regret under the segment adversary clears the
     sqrt(T*|I|/8) rate minus two standard errors."""
-    dset = hypercube_set(4)
-    horizon, reps = 4000, 200
-    cfg = cl.ExperimentConfig("explicit:<hypercube4>", ["hedge"], "universal",
-                              horizon=horizon, trials=reps, seed=1009)
-    res = cl.run_experiment(cfg, decision_set=dset)
-    stats = res.summary["hedge"]
-    probe = cl.UniversalStream(dset, horizon, RngStream(1009, 0, 0))
-    size = probe.shattered.size
-    rate = math.sqrt(horizon * size / 8.0)
-    se = stats["std"] / math.sqrt(stats["trials"])
-    measured = stats["mean_final_regret"]
+    res = cl.lb_demo("universal", seed=1009)
+    measured, se = res["measured_mean_regret"], res["std_error"]
+    rate = res["theory_rate sqrt(T*|I|/8)"]
     report(9, measured >= rate - 2 * se,
-           f"hypercube d=4, T=4000, {reps} reps, |I|={size}: measured "
+           f"hypercube d=4, T=4000, 200 reps, |I|={res['segments']}: measured "
            f"{measured:.2f} (se {se:.2f}) >= sqrt(T|I|/8)={rate:.2f} - 2se")
 
 
 def test_criterion_10_sampler_marginals():
     """All samplers pass the 4-sigma marginal test and emit exact vertices."""
     n = 100_000
-    failures = []
-    # m-set: interior policy with a capped coordinate
-    policy = np.array([1.0, 0.55, 0.45, 0.6, 0.4])
-    rng = RngStream(1010, 1)
-    acc = np.zeros(5)
-    for _ in range(n):
-        x = sample_mset(policy, 3, rng)
-        if int(x.sum()) != 3:
-            failures.append("mset cardinality")
-            break
-        acc += x
-    band = 4.0 * np.sqrt(policy * (1 - policy) / n) + 1e-12
-    if np.any(np.abs(acc / n - policy) > band):
-        failures.append("mset marginals")
-    # path sampler on a 3-parallel-edge graph and the diamond
-    dag = parallel_dag(3)
-    flow = np.array([0.2, 0.3, 0.5])
-    rng = RngStream(1010, 2)
-    acc = np.zeros(3)
-    for _ in range(n):
-        x = sample_path(dag, flow, rng)
-        if x.sum() != 1.0:
-            failures.append("path validity")
-            break
-        acc += x
-    band = 4.0 * np.sqrt(flow * (1 - flow) / n)
-    if np.any(np.abs(acc / n - flow) > band):
-        failures.append("path marginals")
-    dia = diamond_dag()
-    rng = RngStream(1010, 3)
-    for _ in range(2000):
-        x = sample_path(dia, np.array([0.35, 0.65, 0.35, 0.65]), rng)
-        ok, _ = cl.flow_check(dia, x)
-        if not ok:
-            failures.append("diamond path validity")
-            break
-    # categorical
-    verts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    w = np.array([1.0, math.e])
-    rng = RngStream(1010, 4)
-    acc = np.zeros(2)
-    for _ in range(n):
-        acc += sample_explicit(verts, w, rng)
-    target = w / w.sum()
-    band = 4.0 * np.sqrt(target * (1 - target) / n)
-    if np.any(np.abs(acc / n - target) > band):
-        failures.append("categorical marginals")
-    report(10, not failures,
+    policy = np.array([1.0, 0.55, 0.45, 0.6, 0.4])  # with a capped coordinate
+    dag, flow = parallel_dag(3), np.array([0.2, 0.3, 0.5])
+    verts, w = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, math.e])
+    marginals = props.samplers("marginals", [
+        SamplerCase(lambda rng: sample_mset(policy, 3, rng), RngStream(1010, 1),
+                    policy, valid=lambda x: int(x.sum()) == 3, slack=1e-12),
+        SamplerCase(lambda rng: sample_path(dag, flow, rng), RngStream(1010, 2),
+                    flow, valid=lambda x: x.sum() == 1.0),
+        SamplerCase(lambda rng: sample_explicit(verts, w, rng),
+                    RngStream(1010, 4), w / w.sum()),
+    ], n)
+    dia, dia_flow = diamond_dag(), np.array([0.35, 0.65, 0.35, 0.65])
+    diamond = props.samplers("diamond paths", [
+        SamplerCase(lambda rng: sample_path(dia, dia_flow, rng),
+                    RngStream(1010, 3), valid=lambda x: cl.flow_check(dia, x)[0]),
+    ], 2000)
+    failed = [res.line() for res in (marginals, diamond) if not res.passed]
+    report(10, not failed,
            f"3 samplers x {n} draws within 4-sigma bands; exact cardinality "
-           f"and path validity" + (f"; failures: {failures}" if failures else ""))
+           f"and path validity" + (f"; failures: {failed}" if failed else ""))
 
 
 def test_criterion_11_byte_identical_reruns(tmp_path):

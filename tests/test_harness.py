@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import comblab as cl
+import comblab.harness as hz
 from comblab.cli import main as cli_main
 from comblab.instances import chain_dag, diamond_dag
 from comblab.sampling import RngStream
@@ -60,19 +63,28 @@ def test_build_learner_specs_and_rates():
 @pytest.mark.parametrize("slot,spec", [
     ("set", "mset:16"), ("set", "mset:a:b"), ("set", "mset:16:4:9"),
     ("set", "mset:16:4:x=1"),
+    ("set", "dag:{tmp}/missing.dag"), ("set", "explicit:{tmp}/missing.txt"),
     ("learner", "hedge:eta=abc"), ("learner", "hedge:foo=1"),
     ("learner", "omd-mset:numeric=1"), ("learner", "omd-dilated:numeric=2"),
     ("adversary", "hedge-killer:eta=zz"), ("adversary", "universal:seed=x"),
     ("adversary", "universal:bogus=1"), ("adversary", "constant"),
+    ("adversary", "hedge-killer:eta=nan"), ("adversary", "hedge-killer:eta=-1"),
+    ("adversary", "hedge-killer:eta=inf"), ("adversary", "gaussian:seed=-1"),
+    ("adversary", "constant:{tmp}/three.txt"),
+    ("adversary", "constant:{tmp}/missing.txt"),
+    ("seed", "-1"),
 ])
-def test_malformed_specs_raise_precondition(slot, spec):
-    parts = {"set": "mset:16:4", "learner": "hedge", "adversary": "universal"}
+def test_malformed_specs_raise_precondition(tmp_path, slot, spec):
+    (tmp_path / "three.txt").write_text("0.1 0.2 0.3\n")
+    spec = spec.format(tmp=tmp_path)
+    parts = {"set": "mset:16:4", "learner": "hedge", "adversary": "universal",
+             "seed": "0"}
     parts[slot] = spec
-    cfg = cl.ExperimentConfig(parts["set"], [parts["learner"]],
-                              parts["adversary"], horizon=2)
-    with pytest.raises(cl.PreconditionError, match=spec) as info:
-        cl.run_experiment(cfg)
-    if slot != "set":  # built inside the trial, before round 1
+    with pytest.raises(cl.PreconditionError, match=re.escape(spec)) as info:
+        cl.run_experiment(cl.ExperimentConfig(
+            parts["set"], [parts["learner"]], parts["adversary"], horizon=2,
+            seed=int(parts["seed"])))
+    if slot in ("learner", "adversary"):  # built inside the trial, before round 1
         assert (info.value.trial, info.value.round) == (0, 0)
 
 
@@ -88,7 +100,10 @@ def test_rate_must_be_positive_and_finite(eta):
 
 @pytest.mark.parametrize("line,key", [("tirals=100", "tirals"),
                                       ("T=abc", "T"), ("trials=2.5", "trials"),
-                                      ("seed=x", "seed"), ("eta=fast", "eta")])
+                                      ("seed=x", "seed"), ("eta=fast", "eta"),
+                                      ("seed=-1", "seed"),
+                                      ("learner=,", "learner"),
+                                      ("learner=hedge,hedge", "learner")])
 def test_config_typos_raise_precondition(tmp_path, line, key):
     cfgfile = tmp_path / "exp.cfg"
     lines = {"set": "mset:6:2", "learner": "hedge", "adversary": "mset-lb",
@@ -250,6 +265,11 @@ def test_each_loss_is_validated_once_per_round(monkeypatch):
                               horizon=15, trials=2)
     cl.run_experiment(cfg)
     assert len(calls) == 2 * 15
+    calls.clear()
+    dag = diamond_dag()
+    stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 20, RngStream(6, 0))
+    cl.check_iterate_equivalence(dag, stream, 0.3, 20)
+    assert len(calls) == 20
 
 
 def test_cli_reports_an_error_in_one_line(tmp_path, capsys):
@@ -280,15 +300,26 @@ def test_trial_error_keeps_the_solver_residual(monkeypatch):
     assert (err.trial, err.round) == (0, 1)
 
 
-def test_every_learner_runs_or_fails_before_round_1(tmp_path):
+def cross_product_sets(tmp_path):
+    """One set spec of every class the set registry builds."""
     sets = ["mset:8:2", "multitask:2,3", "dag-layered:16:32",
             f"explicit:{write_hypercube(tmp_path, 3)}"]
-    learners = ["hedge", "hedge-dag", "omd-mset", "omd-dilated",
-                "omd-dilated:numeric=1", "omd-entropy-dag"]
-    ran = set()
-    for set_spec in sets:
+    assert ({type(cl.build_set(spec)) for spec in sets}
+            == {entry.set_class for entry in hz.SETS.values()})
+    return sets
+
+
+def test_every_learner_runs_or_fails_before_round_1(tmp_path):
+    learners = [spec for name, entry in hz.LEARNERS.items()
+                for spec in [name] + [f"{name}:{key}=1" for key, convert
+                                      in entry.options.items()
+                                      if convert is hz._flag]]
+    ran, expected = set(), set()
+    for set_spec in cross_product_sets(tmp_path):
         dset = cl.build_set(set_spec)
         for spec in learners:
+            if isinstance(dset, hz.LEARNERS[spec.split(":")[0]].set_class):
+                expected.add((set_spec.split(":")[0], spec))
             try:
                 cl.build_learner(spec, dset, 3)
             except cl.PreconditionError:
@@ -298,20 +329,22 @@ def test_every_learner_runs_or_fails_before_round_1(tmp_path):
                 decision_set=dset)
             assert res.ledgers[spec][0].horizon == 3
             ran.add((set_spec.split(":")[0], spec))
-    dag_only = {("dag-layered", spec) for spec in learners if spec != "omd-mset"}
-    assert ran == dag_only | {("mset", "hedge"), ("mset", "omd-mset"),
-                              ("multitask", "hedge"), ("explicit", "hedge")}
+    assert ran == expected
+    assert len(ran) == 9
 
 
 def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
-    sets = ["mset:8:2", "multitask:2,3", "dag-layered:16:32",
-            f"explicit:{write_hypercube(tmp_path, 3)}"]
-    adversaries = ["universal", "mset-lb", "hedge-killer", "multitask-phases",
-                   "dag-layered:16:32", "constant:zero", "gaussian"]
-    ran = set()
-    for set_spec in sets:
+    # positional parts by name; d and N match the dag-layered set above
+    positional = {"d": 16, "N": 32, "file|zero": "zero"}
+    adversaries = {name + "".join(f":{positional[arg]}" for arg in entry.args):
+                   entry for name, entry in hz.ADVERSARIES.items()}
+    ran, expected = set(), set()
+    for set_spec in cross_product_sets(tmp_path):
         kind = set_spec.split(":")[0]
-        for spec in adversaries:
+        dset = cl.build_set(set_spec)
+        for spec, entry in adversaries.items():
+            if isinstance(dset, entry.set_class):
+                expected.add((kind, spec))
             cfg = cl.ExperimentConfig(set_spec, ["hedge"], spec, horizon=3,
                                       seed=1)
             try:
@@ -321,13 +354,20 @@ def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
                 continue
             assert res.ledgers["hedge"][0].horizon == 3
             ran.add((kind, spec))
-    anywhere = {"universal", "constant:zero", "gaussian"}
-    assert ran == {(kind, spec) for kind in ("mset", "multitask",
-                                             "dag-layered", "explicit")
-                   for spec in anywhere} | {
-        ("mset", "mset-lb"), ("mset", "hedge-killer"),
-        ("multitask", "multitask-phases"), ("dag-layered", "dag-layered:16:32")}
+    assert ran == expected
     assert len(ran) == 16
+
+
+def test_readme_spec_section_is_the_spec_table():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    assert f"```\n{hz.spec_table()}\n```\n" in readme.read_text()
+
+
+def test_run_help_prints_the_spec_table(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--help"])
+    assert info.value.code == 0
+    assert hz.spec_table() in capsys.readouterr().out
 
 
 def test_construction_error_keeps_the_trial(monkeypatch):
