@@ -3,13 +3,12 @@
 Each property draws its own randomness from a seeded stream, records the
 worst margin it observed (positive margin = slack, negative = violation),
 and never raises on failure: failures are data for the report.  A check
-the acceptance criteria share takes its stream, counts, cases and
-tolerance; its registered ``prop_*`` passes the suite's own.
+the acceptance criteria share takes its stream, counts and cases; its
+registered ``prop_*`` passes the suite's own.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,8 +78,8 @@ def prop_dual_norm_enumeration(seed):
     return _result("dual_norm_matches_enumeration", "domain", total, margins)
 
 
-def primal_norm_bound(rng, cases, z_scale, tol=1e-8):
-    """Primal norm <= ``3|z|_inf + |z|_1/m + tol`` on ``MSet(d, m)``, for
+def primal_norm_bound(rng, cases, z_scale):
+    """Primal norm <= ``3|z|_inf + |z|_1/m + 1e-8`` on ``MSet(d, m)``, for
     ``reps`` normal ``z`` scaled by ``uniform(*z_scale)`` per (d, m, reps)."""
     gen = rng.generator
     margins = []
@@ -90,7 +89,7 @@ def primal_norm_bound(rng, cases, z_scale, tol=1e-8):
             z = gen.standard_normal(d) * gen.uniform(*z_scale)
             lhs = primal_norm_bruteforce(dset, z)
             rhs = 3.0 * np.max(np.abs(z)) + np.sum(np.abs(z)) / m
-            margins.append(rhs + tol - lhs)
+            margins.append(rhs + 1e-8 - lhs)
     return _result("primal_norm_linf_l1_bound", "domain", len(margins),
                    margins)
 
@@ -159,8 +158,8 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-def mset_strong_convexity(rng, count, z_scale=None, tol=1e-9):
-    """``<z, H(x) z> - <y, z>^2 / 9 >= -tol`` (the ``slack``) for the m-set
+def mset_strong_convexity(rng, count, z_scale=None):
+    """``<z, H(x) z> - <y, z>^2 / 9 >= -1e-9`` (the ``slack``) for the m-set
     regularizer at ``count`` random points, d in 4..10, normal ``z`` scaled
     by ``uniform(*z_scale)`` if given."""
     gen = rng.generator
@@ -177,11 +176,11 @@ def mset_strong_convexity(rng, count, z_scale=None, tol=1e-9):
         y = random_feasible_loss(mset, rng, scale=1.0)
         slacks.append(phi.hessian_quadform(x, z) - float(y @ z) ** 2 / 9.0)
     return _result("mset_regularizer_ninth_strong_convexity", "regularizers",
-                   count, [slack + tol for slack in slacks], slack=min(slacks))
+                   count, [slack + 1e-9 for slack in slacks], slack=min(slacks))
 
 
-def dilated_strong_convexity(rng, count, tol=1e-9):
-    """``10 <z, H(x) z> - <y, z>^2 >= -tol`` (the ``slack``) for dilated
+def dilated_strong_convexity(rng, count):
+    """``10 <z, H(x) z> - <y, z>^2 >= -1e-9`` (the ``slack``) for dilated
     entropy at ``count`` random points, 25 per random layered DAG."""
     gen = rng.generator
     slacks = []
@@ -195,7 +194,7 @@ def dilated_strong_convexity(rng, count, tol=1e-9):
             y = random_feasible_loss(dset, rng, scale=1.0)
             slacks.append(10.0 * psi.hessian_quadform(x, z) - float(y @ z) ** 2)
     return _result("dilated_entropy_tenth_strong_convexity", "regularizers",
-                   count, [slack + tol for slack in slacks], slack=min(slacks))
+                   count, [slack + 1e-9 for slack in slacks], slack=min(slacks))
 
 
 def prop_mset_strong_convexity(seed):
@@ -206,8 +205,8 @@ def prop_dilated_strong_convexity(seed):
     return dilated_strong_convexity(RngStream(seed, 203), 500)
 
 
-def entropy_equality(rng, dags, max_edges, tol=1e-10):
-    """Dilated entropy is the path-entropy sum within ``tol`` (the ``gap``)
+def entropy_equality(rng, dags, max_edges):
+    """Dilated entropy is the path-entropy sum within 1e-10 (the ``gap``)
     at an interior flow of each of ``dags`` random layered DAGs."""
     gaps = []
     for _ in range(dags):
@@ -216,7 +215,7 @@ def entropy_equality(rng, dags, max_edges, tol=1e-10):
         x = random_interior_flow(dag, rng)
         gaps.append(abs(psi.value(x) - path_entropy_sum(dag, x)))
     return _result("dilated_equals_path_entropy", "regularizers", dags,
-                   [tol - gap for gap in gaps], gap=max(gaps))
+                   [1e-10 - gap for gap in gaps], gap=max(gaps))
 
 
 def prop_entropy_equality(seed):
@@ -310,9 +309,9 @@ def prop_omd_interiority_and_kkt(seed):
                           worst, min(margins) > 0 and min(kkt_margins) >= 0)
 
 
-def loss_shift(rng, dags, per_dag, tol=1e-12):
-    """Shifted losses: every ``entry`` >= -tol, each path's shift
-    ``deviation`` from alpha <= tol, each path's sum of ``squares`` <= 4
+def loss_shift(rng, dags, per_dag):
+    """Shifted losses: every ``entry`` >= -1e-12, each path's shift
+    ``deviation`` from alpha <= 1e-12, each path's sum of ``squares`` <= 4
     (+1e-9), for ``per_dag`` losses on each of ``dags`` random DAGs."""
     margins, entries, deviations, squares = [], [], [], []
     for _ in range(dags):
@@ -326,7 +325,7 @@ def loss_shift(rng, dags, per_dag, tol=1e-12):
             deltas = paths @ shifted - paths @ y
             deviations.append(float(np.max(np.abs(deltas - alpha))))
             squares.append(float(np.max(paths @ (shifted ** 2))))
-            margins += [entries[-1] + tol, tol - deviations[-1],
+            margins += [entries[-1] + 1e-12, 1e-12 - deviations[-1],
                         4.0 + 1e-9 - squares[-1]]
     return _result("loss_shift_nonneg_constant_bounded", "learners",
                    len(entries), margins, entry=min(entries),
@@ -361,63 +360,51 @@ def prop_entropy_omd_matches_newton(seed):
 # sampling
 # ---------------------------------------------------------------------------
 
-class SamplerCase(NamedTuple):
-    """One sampler under test: ``sample(rng)`` draws a vertex, which must
-    satisfy ``valid`` (if given); the mean of the draws must lie within
-    4 sigma + ``slack`` of ``target`` (if given)."""
-    sample: Callable
-    rng: RngStream
-    target: np.ndarray | None = None
-    valid: Callable | None = None
-    slack: float = 0.0
-
-
-def samplers(name, cases, draws):
-    """``draws`` vertices from each :class:`SamplerCase`."""
-    margins = []
-    for sample, rng, target, valid, slack in cases:
-        counts = np.zeros(len(target)) if target is not None else None
-        all_valid = True
-        for _ in range(draws):
-            x = sample(rng)
-            if valid is not None and not valid(x):
-                all_valid = False
-            if counts is not None:
-                counts += x
-        if valid is not None:
-            margins.append(0.0 if all_valid else -1.0)
-        if target is not None:
-            band = 4.0 * np.sqrt(target * (1 - target) / draws)
-            margins.extend((band + slack - np.abs(counts / draws - target))
-                           .tolist())
-    return _result(name, "sampling", len(cases) * draws, margins)
+def band_margins(counts, draws, target, slack=0.0):
+    """Margins of the empirical marginals ``counts / draws`` inside the
+    4-sigma band around ``target``, widened by ``slack``."""
+    band = 4.0 * np.sqrt(target * (1 - target) / draws)
+    return (band + slack - np.abs(counts / draws - target)).tolist()
 
 
 def prop_sampler_marginals(seed):
-    policy = np.array([1.0, 0.6, 0.4])  # with a capped coordinate
+    n = 100_000
+    # m-set sampler, including a capped coordinate
+    policy = np.array([1.0, 0.6, 0.4])
+    rng = RngStream(seed, 401)
+    margins = band_margins(sum(sample_mset(policy, 2, rng) for _ in range(n)),
+                           n, policy, slack=1e-12)
+    # path sampler on the diamond
     dag, flow = diamond_dag(), np.array([0.3, 0.7, 0.3, 0.7])
+    rng = RngStream(seed, 402)
+    margins += band_margins(sum(sample_path(dag, flow, rng) for _ in range(n)),
+                            n, flow, slack=1e-12)
+    # categorical over two vertices, weights (1, e)
     verts, w = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, math.e])
-    return samplers("sampler_marginals_within_4_sigma", [
-        SamplerCase(lambda rng: sample_mset(policy, 2, rng),
-                    RngStream(seed, 401), policy, slack=1e-12),
-        SamplerCase(lambda rng: sample_path(dag, flow, rng),
-                    RngStream(seed, 402), flow),
-        SamplerCase(lambda rng: sample_explicit(verts, w, rng),
-                    RngStream(seed, 403), w / w.sum()),
-    ], 100_000)
+    rng = RngStream(seed, 403)
+    margins += band_margins(
+        sum(sample_explicit(verts, w, rng) for _ in range(n)), n, w / w.sum())
+    return _result("sampler_marginals_within_4_sigma", "sampling",
+                   3 * n, margins)
 
 
 def prop_sampler_exactness(seed):
     rng = RngStream(seed, 404)
+    gen = rng.generator
+    margins = []
     dag = random_layered_dag(rng, max_edges=12)
+    dset = DagPathSet(dag)
     flow = random_interior_flow(dag, rng)
-    policy = random_mset_interior(MSet(9, 3), rng)
-    return samplers("samplers_emit_exact_vertices", [
-        SamplerCase(lambda r: sample_path(dag, flow, r), rng,
-                    valid=lambda x: flow_check(dag, x)[0]),
-        SamplerCase(lambda r: sample_mset(policy, 3, r), rng,
-                    valid=lambda x: int(x.sum()) == 3),
-    ], 2000)
+    for _ in range(2000):
+        x = sample_path(dag, flow, rng)
+        ok, res = flow_check(dag, x)
+        margins.append(0.0 if ok else -res)
+    mset = MSet(9, 3)
+    policy = random_mset_interior(mset, rng)
+    for _ in range(2000):
+        x = sample_mset(policy, 3, rng)
+        margins.append(0.0 if int(x.sum()) == 3 else -1.0)
+    return _result("samplers_emit_exact_vertices", "sampling", 4000, margins)
 
 
 def prop_sampler_determinism(seed):

@@ -5,7 +5,7 @@ here, not tuned: policy gaps at 1e-6, entropy equality at 1e-10,
 strong-convexity slack at 1e-9, regret bounds at their closed-form values.
 A criterion that shares a check with the invariant suite
 (``comblab.properties``) or a lower-bound demo (``lb_demo``) calls it with
-its own stream, counts and tolerance.
+its own stream and counts.
 """
 
 import math
@@ -16,7 +16,6 @@ import numpy as np
 import comblab as cl
 from comblab import properties as props
 from comblab.instances import diamond_dag, parallel_dag, random_layered_dag
-from comblab.properties import SamplerCase
 from comblab.sampling import RngStream, sample_explicit, sample_mset, sample_path
 
 
@@ -47,8 +46,7 @@ def test_criterion_1_iterate_equivalence():
 
 def test_criterion_2_entropy_equality():
     """Dilated-entropy value equals the path-distribution entropy sum."""
-    res = props.entropy_equality(RngStream(1002, 0), 100, max_edges=16,
-                                 tol=1e-10)
+    res = props.entropy_equality(RngStream(1002, 0), 100, max_edges=16)
     report(2, res.passed,
            f"100 DAGs (<=20 paths): max |value - path-entropy| "
            f"{res.extremes['gap']:.3e} (tol 1e-10)")
@@ -57,8 +55,8 @@ def test_criterion_2_entropy_equality():
 def test_criterion_3_strong_convexity():
     """Hessian quadratic forms dominate the squared pairing."""
     rng = RngStream(1003, 0)  # one stream for both halves, in this order
-    mset = props.mset_strong_convexity(rng, 500, z_scale=(0.2, 2.0), tol=1e-9)
-    dag = props.dilated_strong_convexity(rng, 500, tol=1e-9)
+    mset = props.mset_strong_convexity(rng, 500, z_scale=(0.2, 2.0))
+    dag = props.dilated_strong_convexity(rng, 500)
     report(3, mset.passed and dag.passed,
            f"500 triples each: m-set slack {mset.extremes['slack']:.3e}, "
            f"dilated slack {dag.extremes['slack']:.3e} "
@@ -77,7 +75,7 @@ def test_criterion_5_primal_norm_bound():
     """LP-oracle primal norm obeys the 3*linf + l1/m bound."""
     res = props.primal_norm_bound(RngStream(1005, 0),
                                   ((6, 2, 66), (10, 3, 67), (12, 5, 67)),
-                                  (0.2, 3.0), tol=1e-8)
+                                  (0.2, 3.0))
     report(5, res.passed,
            f"{res.samples} z on m-sets (d<=12): min slack "
            f"{res.worst_margin:.3e} against 3*|z|_inf + |z|_1/m + 1e-8")
@@ -141,7 +139,7 @@ def test_criterion_7_hedge_omd_separation():
 def test_criterion_8_loss_shift_properties():
     """Shifted losses: non-negative, constant per-path shift, bounded
     per-path sum of squares."""
-    res = props.loss_shift(RngStream(1008, 0), 100, 100, tol=1e-12)
+    res = props.loss_shift(RngStream(1008, 0), 100, 100)
     worst = res.extremes
     report(8, res.passed,
            f"{res.samples} (DAG, y) pairs: min shifted entry "
@@ -164,26 +162,38 @@ def test_criterion_9_universal_lower_bound_mc():
 def test_criterion_10_sampler_marginals():
     """All samplers pass the 4-sigma marginal test and emit exact vertices."""
     n = 100_000
-    policy = np.array([1.0, 0.55, 0.45, 0.6, 0.4])  # with a capped coordinate
+
+    def draws(sample, stream, count=n):
+        rng = RngStream(1010, stream)
+        return np.array([sample(rng) for _ in range(count)])
+
+    failures = []
+    # m-set: interior policy with a capped coordinate
+    policy = np.array([1.0, 0.55, 0.45, 0.6, 0.4])
+    xs = draws(lambda rng: sample_mset(policy, 3, rng), 1)
+    if np.any(xs.sum(axis=1) != 3):
+        failures.append("mset cardinality")
+    if min(props.band_margins(xs.sum(axis=0), n, policy, slack=1e-12)) < 0:
+        failures.append("mset marginals")
+    # path sampler on a 3-parallel-edge graph and the diamond
     dag, flow = parallel_dag(3), np.array([0.2, 0.3, 0.5])
-    verts, w = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, math.e])
-    marginals = props.samplers("marginals", [
-        SamplerCase(lambda rng: sample_mset(policy, 3, rng), RngStream(1010, 1),
-                    policy, valid=lambda x: int(x.sum()) == 3, slack=1e-12),
-        SamplerCase(lambda rng: sample_path(dag, flow, rng), RngStream(1010, 2),
-                    flow, valid=lambda x: x.sum() == 1.0),
-        SamplerCase(lambda rng: sample_explicit(verts, w, rng),
-                    RngStream(1010, 4), w / w.sum()),
-    ], n)
+    xs = draws(lambda rng: sample_path(dag, flow, rng), 2)
+    if np.any(xs.sum(axis=1) != 1.0):
+        failures.append("path validity")
+    if min(props.band_margins(xs.sum(axis=0), n, flow)) < 0:
+        failures.append("path marginals")
     dia, dia_flow = diamond_dag(), np.array([0.35, 0.65, 0.35, 0.65])
-    diamond = props.samplers("diamond paths", [
-        SamplerCase(lambda rng: sample_path(dia, dia_flow, rng),
-                    RngStream(1010, 3), valid=lambda x: cl.flow_check(dia, x)[0]),
-    ], 2000)
-    failed = [res.line() for res in (marginals, diamond) if not res.passed]
-    report(10, not failed,
+    xs = draws(lambda rng: sample_path(dia, dia_flow, rng), 3, 2000)
+    if not all(cl.flow_check(dia, x)[0] for x in xs):
+        failures.append("diamond path validity")
+    # categorical
+    verts, w = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, math.e])
+    xs = draws(lambda rng: sample_explicit(verts, w, rng), 4)
+    if min(props.band_margins(xs.sum(axis=0), n, w / w.sum())) < 0:
+        failures.append("categorical marginals")
+    report(10, not failures,
            f"3 samplers x {n} draws within 4-sigma bands; exact cardinality "
-           f"and path validity" + (f"; failures: {failed}" if failed else ""))
+           f"and path validity" + (f"; failures: {failures}" if failures else ""))
 
 
 def test_criterion_11_byte_identical_reruns(tmp_path):

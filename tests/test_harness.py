@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -319,7 +320,7 @@ def test_every_learner_runs_or_fails_before_round_1(tmp_path):
         dset = cl.build_set(set_spec)
         for spec in learners:
             if isinstance(dset, hz.LEARNERS[spec.split(":")[0]].set_class):
-                expected.add((set_spec.split(":")[0], spec))
+                expected.add((type(dset).__name__, spec))
             try:
                 cl.build_learner(spec, dset, 3)
             except cl.PreconditionError:
@@ -328,9 +329,13 @@ def test_every_learner_runs_or_fails_before_round_1(tmp_path):
                 set_spec, [spec], "gaussian", horizon=3, seed=1),
                 decision_set=dset)
             assert res.ledgers[spec][0].horizon == 3
-            ran.add((set_spec.split(":")[0], spec))
+            ran.add((type(dset).__name__, spec))
     assert ran == expected
     assert len(ran) == 9
+    # pinned apart from the table, so a wrong set class in it cannot agree
+    # with itself
+    assert Counter(cls for cls, _ in ran) == {
+        "MSet": 2, "MultitaskSet": 1, "DagPathSet": 5, "ExplicitSet": 1}
 
 
 def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
@@ -340,8 +345,8 @@ def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
                    entry for name, entry in hz.ADVERSARIES.items()}
     ran, expected = set(), set()
     for set_spec in cross_product_sets(tmp_path):
-        kind = set_spec.split(":")[0]
         dset = cl.build_set(set_spec)
+        kind = type(dset).__name__
         for spec, entry in adversaries.items():
             if isinstance(dset, entry.set_class):
                 expected.add((kind, spec))
@@ -356,6 +361,8 @@ def test_every_adversary_runs_or_fails_before_round_1(tmp_path):
             ran.add((kind, spec))
     assert ran == expected
     assert len(ran) == 16
+    assert Counter(cls for cls, _ in ran) == {  # pinned apart from the table
+        "MSet": 5, "MultitaskSet": 4, "DagPathSet": 4, "ExplicitSet": 3}
 
 
 def test_readme_spec_section_is_the_spec_table():
