@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Dag, MSet
+from .domain import ENUMERATION_CAP, Dag, MSet
 from .errors import CapExceeded, PreconditionError, ShatteringNotFound
 
 
@@ -44,7 +44,7 @@ class ShatteredSet:
         return True
 
 
-def find_shattered_set(decision_set, k, cap=1_000_000):
+def find_shattered_set(decision_set, k):
     """First (lexicographically) index subset of size ``k`` that is shattered.
 
     Exhaustive search over the enumerated vertices, with witnesses taken
@@ -57,7 +57,7 @@ def find_shattered_set(decision_set, k, cap=1_000_000):
     d = decision_set.dimension
     if not (1 <= k <= d):
         raise PreconditionError(f"need 1 <= k <= d, got k={k}")
-    if isinstance(decision_set, MSet) and decision_set.count() > cap:
+    if isinstance(decision_set, MSet) and decision_set.count() > ENUMERATION_CAP:
         m = decision_set.m
         if k > min(m, d - m):
             raise ShatteringNotFound(
@@ -72,7 +72,7 @@ def find_shattered_set(decision_set, k, cap=1_000_000):
             witnesses[pattern] = x
         return ShatteredSet(tuple(range(k)), witnesses)
 
-    vertices = decision_set.enumerate_vertices(cap=cap)
+    vertices = decision_set.enumerate_vertices()
     mat = np.asarray(vertices)
     full = 2 ** k
     for combo in itertools.combinations(range(d), k):
@@ -420,7 +420,7 @@ def dag_hard_instance(d, n_paths, horizon):
 # exact Hedge mass on the bad set
 # ---------------------------------------------------------------------------
 
-def bad_set_mass(d, m, weighted_cum_loss, cap=10_000):
+def bad_set_mass(d, m, weighted_cum_loss):
     """Exact Hedge probability of the bad set under the fixed-loss instance.
 
     The instance loads ``1/m`` on the first ``m`` coordinates, so after
@@ -431,8 +431,8 @@ def bad_set_mass(d, m, weighted_cum_loss, cap=10_000):
     ``floor(m/20)`` of the first coordinates unselected.  Computed by
     binomial sums over the overlap in the log domain.
     """
-    if d > cap:
-        raise CapExceeded(f"d={d} exceeds cap {cap}")
+    if d > 10_000:
+        raise CapExceeded(f"d={d} exceeds cap 10000")
     if not (1 <= m <= d // 2):
         raise PreconditionError("need 1 <= m <= d/2")
     w = float(weighted_cum_loss)

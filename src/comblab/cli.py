@@ -8,8 +8,8 @@ Subcommands::
     comblab props [--scope S] [--seed N]     # run the invariant suite
     comblab lb-demo <theorem-id> [--seed N]  # one-shot lower-bound experiment
 
-A :class:`ComblabError` from any subcommand prints one line,
-``comblab: <Type>: <message>``, on stderr and exits with code 2.
+A :class:`ComblabError` (an input file it cannot open is a PreconditionError)
+prints one line ``comblab: <Type>: <message>`` on stderr and exits with 2.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import sys
 
 from .adversaries import GaussianFeasibleStream
 from .domain import DagPathSet, load_dag
-from .errors import ComblabError
+from .errors import ComblabError, PreconditionError
 from .harness import (LB_DEMOS, check_iterate_equivalence, lb_demo,
                       parse_config, run_experiment, spec_table)
 from .properties import PROPERTIES, run_property_suite
@@ -66,7 +66,7 @@ def main(argv=None):
 def _run(args):
     """Run the parsed subcommand; return its exit code."""
     if args.command == "run":
-        config = parse_config(args.config)
+        config = _read(parse_config, args.config)
         result = run_experiment(config)
         print(result.summary_json())
         if config.out:
@@ -74,7 +74,7 @@ def _run(args):
         return 0
 
     if args.command == "equiv-check":
-        dag = load_dag(args.dag_file)
+        dag = _read(load_dag, args.dag_file)
         stream = GaussianFeasibleStream(DagPathSet(dag), args.T,
                                         RngStream(args.seed, 0))
         report = check_iterate_equivalence(dag, stream, args.eta, args.T,
@@ -98,6 +98,14 @@ def _run(args):
         return 0
 
     return 2
+
+
+def _read(load, path):
+    """``load(path)``; a file it cannot open is a PreconditionError."""
+    try:
+        return load(path)
+    except OSError as err:
+        raise PreconditionError(str(err)) from None
 
 
 if __name__ == "__main__":

@@ -74,14 +74,11 @@ class Dag:
         self.source = int(source)
         self.sink = int(sink)
         self.out_edges = [[] for _ in range(self.n_vertices)]
-        self.in_edges = [[] for _ in range(self.n_vertices)]
         for idx, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise PreconditionError(f"edge {idx} endpoints out of range")
             self.out_edges[u].append(idx)
-            self.in_edges[v].append(idx)
         self.out_edges = [np.array(ix, dtype=int) for ix in self.out_edges]
-        self.in_edges = [np.array(ix, dtype=int) for ix in self.in_edges]
         self._topo = None
 
     # -- structure ---------------------------------------------------------
@@ -129,8 +126,8 @@ class Dag:
                 defects.append(f"vertex {v} cannot reach sink")
         return defects
 
-    def path_count(self):
-        """Number of s-t paths, by DP over the topological order."""
+    def paths_to_sink(self):
+        """Exact path counts (Python ints) from every vertex to the sink."""
         order = self.topological_order()
         if order is None:
             raise PreconditionError("graph is cyclic")
@@ -139,7 +136,11 @@ class Dag:
         for u in reversed(order):
             if u != self.sink:
                 count[u] = sum(count[self.edges[e][1]] for e in self.out_edges[u])
-        return count[self.source]
+        return count
+
+    def path_count(self):
+        """Number of s-t paths."""
+        return self.paths_to_sink()[self.source]
 
     def extreme_path_weights(self, y):
         """(shortest, longest) s-t path weight under edge weights ``y``."""
@@ -151,27 +152,27 @@ class Dag:
         """Shortest-path weight from the source to every vertex."""
         return self.semiring_pass(y, np.minimum)[1]
 
-    def extreme_path(self, y, mode="min"):
-        """An extreme-weight s-t path as an edge indicator.
+    def extreme_path(self, y):
+        """A shortest s-t path under edge weights ``y``, as an edge
+        indicator (a longest one under ``-y``).
 
         Ties are broken toward the lowest edge index at each divergence, so
         the result is the first optimal path in enumeration order.
         """
         y = np.asarray(y, dtype=float)
-        sign = 1.0 if mode == "min" else -1.0
-        best, _ = self.semiring_pass(sign * y, np.minimum)
+        best, _ = self.semiring_pass(y, np.minimum)
         x = np.zeros(self.n_edges)
         u = self.source
         while u != self.sink:
             for e in self.out_edges[u]:
                 v = self.edges[e][1]
-                if sign * y[e] + best[v] == best[u]:
+                if y[e] + best[v] == best[u]:
                     x[e] = 1.0
                     u = v
                     break
             else:  # numerical guard: take the closest edge
                 e = min(self.out_edges[u],
-                        key=lambda e: abs(sign * y[e] + best[self.edges[e][1]] - best[u]))
+                        key=lambda e: abs(y[e] + best[self.edges[e][1]] - best[u]))
                 x[e] = 1.0
                 u = self.edges[e][1]
         return x
@@ -237,10 +238,10 @@ class Dag:
             dist[scatter] = reduceat(w[lo:hi] + dist[gather], starts)
         return dist[:n], dist[n:]
 
-    def enumerate_paths(self, cap=ENUMERATION_CAP):
+    def enumerate_paths(self):
         """All s-t paths as edge indicators, in DFS order (lowest edge first)."""
-        if self.path_count() > cap:
-            raise CapExceeded(f"path count exceeds cap {cap}")
+        if self.path_count() > ENUMERATION_CAP:
+            raise CapExceeded(f"path count exceeds cap {ENUMERATION_CAP}")
         paths = []
         stack = []
 
@@ -369,38 +370,46 @@ class DecisionSet:
         raise NotImplementedError
 
     def log_count(self):
-        """Natural log of the number of vertices, in closed form."""
-        raise NotImplementedError
+        """Natural log of the number of vertices (closed forms override)."""
+        return math.log(self.count())
 
-    def enumerate_vertices(self, cap=ENUMERATION_CAP):
-        """All vertices, no duplicates, in the canonical order.
+    def enumerate_vertices(self):
+        """All vertices, no duplicates, in the canonical order; raises
+        :class:`CapExceeded` beyond ``ENUMERATION_CAP`` vertices.
 
         The canonical order is descending-lexicographic on the binary
         tuples, which coincides with index-combination order for m-sets,
         block-product order for multitask sets, and lowest-edge-first DFS
         order for path sets.
         """
-        raise NotImplementedError
+        if self.count() > ENUMERATION_CAP:
+            raise CapExceeded(f"{self.count()} vertices exceed cap {ENUMERATION_CAP}")
+        return self._vertices()
 
     def dual_norm(self, z):
         """``max_x |<x, z>|`` over the vertices, via the variant's closed form."""
         return abs(self._extreme_products(z)).max()
 
     def dual_witness(self, z):
-        """A vertex achieving the dual norm."""
-        raise NotImplementedError
+        """A vertex achieving the dual norm: :meth:`best_vertex` of ``-z`` (a
+        maximizer) if ``|max| >= |min|``, else of ``z``, with its ties."""
+        z = np.asarray(z, dtype=float)
+        lo, hi = self._extreme_products(z)
+        return self.best_vertex(-z if abs(hi) >= abs(lo) else z)[0]
 
     def _extreme_products(self, z):
         """(min, max) of ``<x, z>`` over vertices."""
         raise NotImplementedError
 
-    def validate_loss(self, y, tol=FEAS_TOL):
-        """Check ``max_x |<x, y>| <= 1 + tol``; report a witness on failure."""
+    def validate_loss(self, y):
+        """Check ``max_x |<x, y>| <= 1 + FEAS_TOL``; report a witness on
+        failure.  A vector of the wrong shape or with a non-finite entry
+        fails with value inf and no witness."""
         y = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y)):
+        if y.shape != (self.dimension,) or not np.all(np.isfinite(y)):
             return LossCheck(False, float("inf"), None)
         value = self.dual_norm(y)
-        if value <= 1.0 + tol:
+        if value <= 1.0 + FEAS_TOL:
             return LossCheck(True, float(value), None)
         return LossCheck(False, float(value), self.dual_witness(y))
 
@@ -435,21 +444,12 @@ class ExplicitSet(DecisionSet):
     def count(self):
         return self.vertices.shape[0]
 
-    def log_count(self):
-        return math.log(self.count())
-
-    def enumerate_vertices(self, cap=ENUMERATION_CAP):
-        if self.count() > cap:
-            raise CapExceeded(f"{self.count()} vertices exceed cap {cap}")
+    def _vertices(self):
         return [v.copy() for v in self.vertices]
 
     def _extreme_products(self, z):
         prods = self.vertices @ np.asarray(z, dtype=float)
         return np.array([prods.min(), prods.max()])
-
-    def dual_witness(self, z):
-        prods = self.vertices @ np.asarray(z, dtype=float)
-        return self.vertices[int(np.argmax(np.abs(prods)))].copy()
 
     def best_vertex(self, cum_loss):
         prods = self.vertices @ np.asarray(cum_loss, dtype=float)
@@ -497,9 +497,7 @@ class MSet(DecisionSet):
         d, m = self.dimension, self.m
         return math.lgamma(d + 1) - math.lgamma(m + 1) - math.lgamma(d - m + 1)
 
-    def enumerate_vertices(self, cap=ENUMERATION_CAP):
-        if self.count() > cap:
-            raise CapExceeded(f"{self.count()} vertices exceed cap {cap}")
+    def _vertices(self):
         out = []
         for combo in itertools.combinations(range(self.dimension), self.m):
             x = np.zeros(self.dimension)
@@ -510,17 +508,6 @@ class MSet(DecisionSet):
     def _extreme_products(self, z):
         z = np.sort(np.asarray(z, dtype=float))
         return np.array([z[: self.m].sum(), z[-self.m:].sum()])
-
-    def dual_witness(self, z):
-        z = np.asarray(z, dtype=float)
-        lo, hi = self._extreme_products(z)
-        x = np.zeros(self.dimension)
-        order = np.argsort(z, kind="stable")
-        if abs(hi) >= abs(lo):
-            x[order[-self.m:]] = 1.0
-        else:
-            x[order[: self.m]] = 1.0
-        return x
 
     def best_vertex(self, cum_loss):
         cum_loss = np.asarray(cum_loss, dtype=float)
@@ -561,9 +548,7 @@ class MultitaskSet(DecisionSet):
     def log_count(self):
         return sum(math.log(b) for b in self.block_sizes)
 
-    def enumerate_vertices(self, cap=ENUMERATION_CAP):
-        if self.count() > cap:
-            raise CapExceeded(f"{self.count()} vertices exceed cap {cap}")
+    def _vertices(self):
         out = []
         for combo in itertools.product(*(range(b) for b in self.block_sizes)):
             x = np.zeros(self.dimension)
@@ -577,15 +562,6 @@ class MultitaskSet(DecisionSet):
         lo = sum(z[sl].min() for sl in self.block_slices)
         hi = sum(z[sl].max() for sl in self.block_slices)
         return np.array([lo, hi])
-
-    def dual_witness(self, z):
-        z = np.asarray(z, dtype=float)
-        lo, hi = self._extreme_products(z)
-        x = np.zeros(self.dimension)
-        for sl in self.block_slices:
-            j = int(np.argmax(z[sl])) if abs(hi) >= abs(lo) else int(np.argmin(z[sl]))
-            x[sl.start + j] = 1.0
-        return x
 
     def best_vertex(self, cum_loss):
         cum_loss = np.asarray(cum_loss, dtype=float)
@@ -627,23 +603,14 @@ class DagPathSet(DecisionSet):
     def count(self):
         return self.dag.path_count()
 
-    def log_count(self):
-        return math.log(self.count())
-
-    def enumerate_vertices(self, cap=ENUMERATION_CAP):
-        return self.dag.enumerate_paths(cap=cap)
+    def enumerate_vertices(self):
+        return self.dag.enumerate_paths()
 
     def _extreme_products(self, z):
-        lo, hi = self.dag.extreme_path_weights(z)
-        return np.array([lo, hi])
-
-    def dual_witness(self, z):
-        lo, hi = self.dag.extreme_path_weights(z)
-        mode = "max" if abs(hi) >= abs(lo) else "min"
-        return self.dag.extreme_path(z, mode=mode)
+        return np.array(self.dag.extreme_path_weights(z))
 
     def best_vertex(self, cum_loss):
-        x = self.dag.extreme_path(cum_loss, mode="min")
+        x = self.dag.extreme_path(cum_loss)
         return x, float(x @ np.asarray(cum_loss, dtype=float))
 
     def membership_residual(self, x):
@@ -684,14 +651,14 @@ def mset_selection_dag(d, m):
 # Norms
 # ---------------------------------------------------------------------------
 
-def primal_norm_bruteforce(decision_set, z, cap=ENUMERATION_CAP, tol=1e-8):
+def primal_norm_bruteforce(decision_set, z):
     """The norm dual to ``dual_norm``: ``max { <y, z> : max_x |<x,y>| <= 1 }``.
 
     Solved as an LP over the enumerated vertex constraints.  Test-time
     oracle only; the constraint matrix has two rows per vertex.
     """
     z = np.asarray(z, dtype=float)
-    vertices = decision_set.enumerate_vertices(cap=cap)
+    vertices = decision_set.enumerate_vertices()
     mat = np.asarray(vertices)
     a_ub = np.vstack([mat, -mat])
     b_ub = np.ones(2 * mat.shape[0])
@@ -704,7 +671,7 @@ def primal_norm_bruteforce(decision_set, z, cap=ENUMERATION_CAP, tol=1e-8):
     if res.status != 0:
         raise SolverFailure(f"primal norm LP failed: {res.message}")
     violation = float(np.max(a_ub @ res.x - b_ub, initial=0.0))
-    if violation > tol:
+    if violation > 1e-8:
         raise SolverFailure("LP certificate residual too large",
                             residual=violation)
     return float(-res.fun)

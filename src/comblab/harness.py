@@ -186,11 +186,9 @@ def _dag_layered(dset, horizon, d, n_paths):
 
 def _constant(dset, horizon, vec):
     vec = np.zeros(dset.dimension) if vec is None else vec
-    if vec.size != dset.dimension:
-        raise PreconditionError(f"constant adversary vector has {vec.size} "
-                                f"entries, the decision set {dset.dimension}")
-    if not dset.validate_loss(vec).ok:
-        raise PreconditionError("constant adversary vector is infeasible")
+    if not dset.validate_loss(vec).ok:  # wrong length included
+        raise PreconditionError(f"constant adversary vector ({vec.size} entries"
+                                f", the set {dset.dimension}) is infeasible")
     return lambda rng: adv.ConstantStream(vec, horizon)
 
 

@@ -6,14 +6,15 @@ from .domain import Dag
 
 
 def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
-                       max_width=3, extra_edge_prob=0.35):
+                       max_width=3):
     """Small random DAG where every vertex lies on an s-t path.
 
     Vertices are arranged source -> middle layers -> sink; every middle
-    vertex gets at least one incoming and one outgoing edge, then random
-    extra edges are sprinkled between consecutive layers.  Resamples until
-    the edge/path budgets hold, so the result is always a valid carrier
-    with at least two paths (unless the budgets force a single chain).
+    vertex gets at least one incoming and one outgoing edge, then each
+    pair of vertices in consecutive layers is joined with probability 0.35.
+    Resamples until the edge/path budgets hold, so the result is always a
+    valid carrier with at least two paths (unless the budgets force a
+    single chain).
     """
     gen = rng.generator
     for _ in range(200):
@@ -35,7 +36,7 @@ def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
                     edges.add((a, int(gen.choice(b_layer))))
             for a in a_layer:
                 for b in b_layer:
-                    if gen.uniform() < extra_edge_prob:
+                    if gen.uniform() < 0.35:
                         edges.add((a, b))
         edges = sorted(edges)
         if len(edges) > max_edges:
@@ -49,28 +50,28 @@ def random_layered_dag(rng, max_edges=15, max_paths=None, max_layers=3,
     raise RuntimeError("could not draw a DAG within the budgets")
 
 
-def random_interior_flow(dag, rng, concentration=1.0):
-    """Strictly positive point of the flow polytope: a Dirichlet mixture of
-    all s-t paths (every edge lies on some path, so all coordinates are
+def random_interior_flow(dag, rng):
+    """Strictly positive point of the flow polytope: a flat-Dirichlet mixture
+    of all s-t paths (every edge lies on some path, so all coordinates are
     positive almost surely)."""
     paths = np.asarray(dag.enumerate_paths())
-    weights = rng.generator.dirichlet(np.full(paths.shape[0], concentration))
+    weights = rng.generator.dirichlet(np.full(paths.shape[0], 1.0))
     return weights @ paths
 
 
-def random_mset_interior(mset, rng, n_mix=4, pull=0.1):
-    """Strictly interior point of the m-set hull: a few random vertices
-    mixed and pulled toward the uniform centre."""
+def random_mset_interior(mset, rng):
+    """Strictly interior point of the m-set hull: four random vertices
+    mixed and pulled a tenth of the way toward the uniform centre."""
     gen = rng.generator
     d, m = mset.dimension, mset.m
     combo = np.zeros(d)
-    coeffs = gen.dirichlet(np.ones(n_mix))
+    coeffs = gen.dirichlet(np.ones(4))
     for c in coeffs:
         idx = gen.choice(d, size=m, replace=False)
         v = np.zeros(d)
         v[idx] = 1.0
         combo += c * v
-    return (1.0 - pull) * combo + pull * (m / d)
+    return 0.9 * combo + 0.1 * (m / d)
 
 
 def random_feasible_loss(decision_set, rng, scale=None):
@@ -84,13 +85,13 @@ def random_feasible_loss(decision_set, rng, scale=None):
     return s * w / norm
 
 
-def random_span_direction(dag, rng, n_terms=3):
-    """Random element of the span of path indicators, built from differences
-    of paths (plus a scaled path), normalised to unit Euclidean norm."""
+def random_span_direction(dag, rng):
+    """Random element of the span of path indicators, built from three
+    differences of paths, normalised to unit Euclidean norm."""
     gen = rng.generator
     paths = dag.enumerate_paths()
     z = np.zeros(dag.n_edges)
-    for _ in range(n_terms):
+    for _ in range(3):
         a = paths[int(gen.integers(len(paths)))]
         b = paths[int(gen.integers(len(paths)))]
         z += gen.standard_normal() * (a - b)

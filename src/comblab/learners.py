@@ -75,13 +75,16 @@ def weight_pushing_marginals(dag, log_weights):
 # ---------------------------------------------------------------------------
 
 def check_loss(decision_set, y):
-    """Raise :class:`ValidationError` unless every action's loss under
-    ``y`` lies in [-1, 1] (``decision_set.validate_loss``)."""
+    """Raise :class:`ValidationError` unless ``y`` has one entry per
+    coordinate and every action's loss under it lies in [-1, 1]
+    (``decision_set.validate_loss``)."""
     report = decision_set.validate_loss(y)
     if not report.ok:
+        size, dim = np.size(y), decision_set.dimension
         raise ValidationError(
-            f"loss vector with action-loss {report.value:.6g} exceeds the "
-            f"unit bound", report=report)
+            f"loss vector has {size} entries, the decision set {dim}"
+            if size != dim else f"loss vector with action-loss "
+            f"{report.value:.6g} exceeds the unit bound", report=report)
 
 
 class Learner:

@@ -44,11 +44,10 @@ class PropertyResult:
                 f"worst margin {self.worst_margin:.3e} {self.detail}")
 
 
-def _result(name, scope, samples, margins, threshold=0.0, detail="",
-            **extremes):
+def _result(name, scope, samples, margins, detail="", **extremes):
     worst = float(np.min(margins)) if len(margins) else float("inf")
-    return PropertyResult(name, scope, samples, worst, worst >= -abs(threshold),
-                          detail, extremes)
+    return PropertyResult(name, scope, samples, worst, worst >= 0.0, detail,
+                          extremes)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +114,12 @@ def prop_norm_duality(seed):
 # regularizers
 # ---------------------------------------------------------------------------
 
-def _central_diff(fn, x, h=1e-6):
+def _central_diff(fn, x):
     grad = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+        e[i] = 1e-6
+        grad[i] = (fn(x + e) - fn(x - e)) / 2e-6
     return grad
 
 
@@ -502,13 +501,17 @@ def prop_shattered_witnesses(seed):
 # harness
 # ---------------------------------------------------------------------------
 
-def prop_harness_reproducibility(seed):
-    cfg = ExperimentConfig("mset:8:2", ["hedge", "omd-mset"], "mset-lb",
-                           horizon=60, trials=3, seed=seed, mode="sampled")
-    a = csv_text(run_experiment(cfg))
-    b = csv_text(run_experiment(cfg))
+def csv_reproducibility(config):
+    """Two runs of ``config`` give the same CSV ``bytes``."""
+    a, b = (csv_text(run_experiment(config)).encode() for _ in range(2))
     return _result("identical_config_identical_csv", "harness", 2,
-                   [0.0 if a == b else -1.0])
+                   [0.0 if a == b else -1.0], bytes=len(a))
+
+
+def prop_harness_reproducibility(seed):
+    return csv_reproducibility(ExperimentConfig(
+        "mset:8:2", ["hedge", "omd-mset"], "mset-lb", horizon=60, trials=3,
+        seed=seed, mode="sampled"))
 
 
 def prop_ledger_consistency(seed):

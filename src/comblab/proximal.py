@@ -23,6 +23,9 @@ from .errors import SolverFailure
 
 SUM_TOL = 1e-12
 MAX_OUTER = 500
+SOLVER_TOL = 1e-10
+NEWTON_MAX_ITER = 500
+PROJECTION_MAX_ITER = 100
 _mset_prox_compiled = None  # perfbench/run.py reads it for the "backend" field
 
 
@@ -113,22 +116,10 @@ def mset_prox_kkt_residual(x_new, x_old, step, m, lam):
 
 
 # ---------------------------------------------------------------------------
-# Flow-polytope constraint matrix
+# Flow-polytope solvers
 # ---------------------------------------------------------------------------
 
-def flow_constraints(dag):
-    """Equality system ``A x = b`` of the unit-flow polytope, built once per
-    DAG (:attr:`Dag.flow_system`).
-
-    Rows, taken from ``dag.incidence``: source outflow equals one, then
-    conservation (inflow minus outflow) at every other vertex but the
-    sink, whose row is implied and omitted so that A has full row rank.
-    """
-    a_mat, b_vec, _ = dag.flow_system
-    return a_mat, b_vec
-
-
-def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
+def flow_prox_newton(dag, reg, x_start, linear):
     """Minimize ``<linear, x> + reg(x)`` over the flow polytope.
 
     Damped Newton on the KKT system from a feasible interior start.  A
@@ -137,7 +128,8 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
 
     Returns ``(x, info)`` where info carries the final residual and
     iteration count.  Raises :class:`SolverFailure` if the KKT residual
-    does not reach ``tol`` within ``max_iter`` iterations.
+    does not reach ``SOLVER_TOL`` within ``NEWTON_MAX_ITER``
+    iterations.
     """
     a_mat, b_vec, a_ls = dag.flow_system
     n_edges, n_rows = dag.n_edges, a_mat.shape[0]
@@ -152,7 +144,7 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
         return float(linear @ pt) + reg.value(pt)
 
     residual = np.inf
-    for iteration in range(max_iter):
+    for iteration in range(NEWTON_MAX_ITER):
         grad = linear + reg.grad(x)
         # Stationarity is measured against the best multiplier for the
         # CURRENT point (least squares, nu = -pinv(A^T) grad), not the one
@@ -160,7 +152,7 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
         # near the optimum.
         residual = max(float(np.max(np.abs(grad - a_mat.T @ (a_ls @ grad)))),
                        float(np.max(np.abs(a_mat @ x - b_vec))))
-        if residual <= tol:
+        if residual <= SOLVER_TOL:
             return x, {"residual": residual, "iterations": iteration}
         kkt[:n_edges, :n_edges] = reg.hessian_matrix(x)
         rhs[:n_edges] = -grad
@@ -179,7 +171,7 @@ def flow_prox_newton(dag, reg, x_start, linear, tol=1e-10, max_iter=500):
                           residual=residual, iterations=iteration))
         x = x + alpha * p
     raise SolverFailure("flow Newton did not reach tolerance",
-                        residual=residual, iterations=max_iter)
+                        residual=residual, iterations=NEWTON_MAX_ITER)
 
 
 def _armijo(value_at, base, slope, alpha, stalled):
@@ -195,7 +187,7 @@ def _armijo(value_at, base, slope, alpha, stalled):
     return alpha
 
 
-def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
+def sinkhorn_flow_projection(dag, log_w):
     """Negative-entropy (KL) Bregman projection of weights ``exp(log_w)``
     onto the flow polytope.
 
@@ -208,8 +200,9 @@ def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
     ``nu = 0``, a step with ``eta * loss`` of some tens can leave a heavy
     subgraph hanging on light edges, with a singular Newton system.
 
-    Returns ``(x, info)`` with the ``flow_check`` residual and the number
-    of Newton steps; raises :class:`SolverFailure` past ``max_iter``.
+    Returns ``(x, info)`` with the ``flow_check`` residual, at most
+    ``SOLVER_TOL``, and the number of Newton steps; raises
+    :class:`SolverFailure` past ``PROJECTION_MAX_ITER`` steps.
     """
     log_w = np.asarray(log_w, dtype=float)
     tails, heads = dag.compiled.tails, dag.compiled.heads
@@ -225,10 +218,10 @@ def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
 
     x, base = flow_and_dual(nu)
     residual = np.inf
-    for iteration in range(max_iter):
+    for iteration in range(PROJECTION_MAX_ITER):
         excess = dag.flow_excess(x)
         residual = flow_residual(x, excess)
-        if residual <= tol:
+        if residual <= SOLVER_TOL:
             return x, {"residual": residual, "iterations": iteration}
         grad = excess[free]
         hess = (inc * x) @ inc.T
@@ -244,4 +237,4 @@ def sinkhorn_flow_projection(dag, log_w, tol=1e-10, max_iter=100):
                       ) * step
         x, base = flow_and_dual(nu)
     raise SolverFailure("entropy projection did not reach tolerance",
-                        residual=residual, iterations=max_iter)
+                        residual=residual, iterations=PROJECTION_MAX_ITER)

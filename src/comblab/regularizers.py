@@ -188,15 +188,10 @@ class DilatedEntropy(Regularizer):
 
 def uniform_path_flow(dag):
     """Edge marginals of the uniform distribution over all s-t paths."""
-    order = dag.topological_order()
-    to_sink = [0] * dag.n_vertices
-    to_sink[dag.sink] = 1
-    for u in reversed(order):
-        if u != dag.sink:
-            to_sink[u] = sum(to_sink[dag.edges[e][1]] for e in dag.out_edges[u])
+    to_sink = dag.paths_to_sink()
     from_source = [0] * dag.n_vertices
     from_source[dag.source] = 1
-    for u in order:
+    for u in dag.topological_order():
         for e in dag.out_edges[u]:
             from_source[dag.edges[e][1]] += from_source[u]
     n_paths = to_sink[dag.source]

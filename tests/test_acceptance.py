@@ -196,15 +196,10 @@ def test_criterion_10_sampler_marginals():
            f"and path validity" + (f"; failures: {failures}" if failures else ""))
 
 
-def test_criterion_11_byte_identical_reruns(tmp_path):
+def test_criterion_11_byte_identical_reruns():
     """Identical config (including master seed) gives byte-identical CSV."""
-    texts = []
-    for name in ("a.csv", "b.csv"):
-        cfg = cl.ExperimentConfig("mset:8:2", ["hedge", "omd-mset"], "mset-lb",
-                                  horizon=64, trials=5, seed=1011,
-                                  mode="sampled", out=str(tmp_path / name))
-        cl.run_experiment(cfg)
-        texts.append((tmp_path / name).read_bytes())
-    report(11, texts[0] == texts[1],
-           f"two runs, {len(texts[0])} bytes each, identical: "
-           f"{texts[0] == texts[1]}")
+    res = props.csv_reproducibility(cl.ExperimentConfig(
+        "mset:8:2", ["hedge", "omd-mset"], "mset-lb", horizon=64, trials=5,
+        seed=1011, mode="sampled"))
+    report(11, res.passed, f"two runs, {res.extremes['bytes']} bytes each, "
+                           f"identical: {res.passed}")

@@ -40,7 +40,7 @@ def test_single_edge_dag_enumeration():
 
 def test_enumeration_cap():
     with pytest.raises(cl.CapExceeded):
-        cl.MSet(40, 10).enumerate_vertices(cap=1000)
+        cl.MSet(40, 10).enumerate_vertices()
 
 
 def test_explicit_set_rejects_bad_input():
@@ -84,11 +84,18 @@ def test_dual_witness_attains_norm():
     rng = RngStream(6, 1)
     gen = rng.generator
     for dset in (cl.MSet(8, 3), cl.MultitaskSet([3, 2]),
-                 cl.DagPathSet(diamond_dag())):
+                 cl.DagPathSet(diamond_dag()), hypercube_set(3)):
         for _ in range(50):
             z = gen.standard_normal(dset.dimension)
             w = dset.dual_witness(z)
             assert abs(w @ z) == pytest.approx(dset.dual_norm(z), abs=1e-12)
+    # entries 1 and 5 tie at the m-th largest: the witness is the
+    # lowest-index maximizer, best_vertex(-z)
+    dset, z = cl.MSet(6, 2), np.array([0.1, 0.3, -0.2, 0.5, 0.0, 0.3])
+    w = dset.dual_witness(z)
+    assert w.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 0.0]
+    assert np.array_equal(w, dset.best_vertex(-z)[0])
+    assert w @ z == dset.dual_norm(z)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +195,20 @@ def test_flow_check_examples():
 def test_flow_constraints_and_loads_match_the_vertex_loops():
     # In-test copies of the per-vertex loops that the incidence matrix
     # replaced: A must match bit for bit, loads and residuals in value.
-    from comblab.proximal import flow_constraints
     rng = RngStream(35, 0)
     for _ in range(20):
         dag = random_layered_dag(rng, max_edges=14, max_layers=4)
+        in_edges = [[e for e, (_, head) in enumerate(dag.edges) if head == v]
+                    for v in range(dag.n_vertices)]
         rows = [np.zeros(dag.n_edges)]
         rows[0][dag.out_edges[dag.source]] = 1.0
         for v in range(dag.n_vertices):
             if v not in (dag.source, dag.sink):
                 row = np.zeros(dag.n_edges)
-                row[dag.in_edges[v]] += 1.0
+                row[in_edges[v]] += 1.0
                 row[dag.out_edges[v]] -= 1.0
                 rows.append(row)
-        a_mat, b_vec = flow_constraints(dag)
+        a_mat, b_vec, _ = dag.flow_system
         assert np.array(rows).tobytes() == a_mat.tobytes()
         assert b_vec.tolist() == [1.0] + [0.0] * (len(rows) - 1)
         x = rng.generator.random(dag.n_edges)
@@ -208,8 +216,8 @@ def test_flow_constraints_and_loads_match_the_vertex_loops():
                  for v in range(dag.n_vertices)]
         assert np.allclose(dag.vertex_loads(x), loads, rtol=0, atol=1e-15)
         res = max(abs(x[dag.out_edges[dag.source]].sum() - 1.0),
-                  abs(x[dag.in_edges[dag.sink]].sum() - 1.0),
-                  *(abs(x[dag.in_edges[v]].sum() - x[dag.out_edges[v]].sum())
+                  abs(x[in_edges[dag.sink]].sum() - 1.0),
+                  *(abs(x[in_edges[v]].sum() - x[dag.out_edges[v]].sum())
                     for v in range(dag.n_vertices)
                     if v not in (dag.source, dag.sink)))
         assert cl.flow_check(dag, x)[1] == pytest.approx(res, abs=1e-15)
@@ -305,18 +313,18 @@ def test_semiring_pass_min_max_match_loops_bit_for_bit():
             lo, hi = _loop_extreme_path_weights(dag, y)
             assert np.array_equal(dag.shortest_dists_from_source(y), lo)
             assert dag.extreme_path_weights(y) == (lo[dag.sink], hi[dag.sink])
-            for mode in ("min", "max"):
-                assert np.array_equal(dag.extreme_path(y, mode=mode),
-                                      _loop_extreme_path(dag, y, mode))
+            assert np.array_equal(dag.extreme_path(y),
+                                  _loop_extreme_path(dag, y, "min"))
+            assert np.array_equal(dag.extreme_path(-y),
+                                  _loop_extreme_path(dag, y, "max"))
 
 
 def test_extreme_path_ties_go_to_the_lowest_edge():
     dag = _skip_level_dag()
     # every path weighs 0, so each vertex leaves by its lowest edge:
     # 1 (0->1), then 2 (1->6)
-    for mode in ("min", "max"):
-        x = dag.extreme_path(np.zeros(dag.n_edges), mode=mode)
-        assert np.flatnonzero(x).tolist() == [1, 2]
+    for zero in (np.zeros(dag.n_edges), -np.zeros(dag.n_edges)):
+        assert np.flatnonzero(dag.extreme_path(zero)).tolist() == [1, 2]
     # with the short way penalised the path goes 0->1->2->5->6
     y = np.zeros(dag.n_edges)
     y[2] = 1.0

@@ -253,6 +253,33 @@ def test_trial_error_keeps_the_validation_report(monkeypatch):
     assert (err.trial, err.round) == (0, 1)
 
 
+@pytest.mark.parametrize("set_spec", ["mset:16:4", "multitask:2,3",
+                                      "dag-layered:16:32"])
+def test_wrong_length_loss_fails_validation_before_absorb(monkeypatch,
+                                                         set_spec):
+    class WrongLength:  # a zero loss in round 1, 8 entries from round 2
+        def __init__(self, dim):
+            self.dim = dim
+
+        def loss(self, t):
+            return np.zeros(self.dim if t == 1 else 8)
+
+    absorbed = []
+    monkeypatch.setattr(hz, "build_adversary", lambda spec, dset, *a, **k: (
+        lambda rng: WrongLength(dset.dimension)))
+    monkeypatch.setattr(cl.learners.Learner, "absorb",
+                        lambda self, y: absorbed.append(len(y)))
+    dim = cl.build_set(set_spec).dimension
+    cfg = cl.ExperimentConfig(set_spec, ["hedge"], "constant:zero",
+                              horizon=4, trials=2)
+    with pytest.raises(cl.ValidationError,
+                       match=f"trial 0, round 2: loss vector has 8 entries, "
+                             f"the decision set {dim}") as info:
+        cl.run_experiment(cfg)
+    assert (info.value.trial, info.value.round) == (0, 2)
+    assert not info.value.report.ok and absorbed == [dim]
+
+
 def test_each_loss_is_validated_once_per_round(monkeypatch):
     calls = []
     validate = cl.DecisionSet.validate_loss
@@ -282,6 +309,13 @@ def test_cli_reports_an_error_in_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("comblab: PreconditionError: config key T: "
                             "bad value 'abc'\n")
+    for argv in (["run", str(tmp_path / "missing.cfg")],
+                 ["equiv-check", str(tmp_path / "missing.dag")]):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("comblab: PreconditionError: ")
+        assert argv[1] in captured.err and captured.err.count("\n") == 1
 
 
 def test_trial_error_keeps_the_solver_residual(monkeypatch):
@@ -461,19 +495,12 @@ def test_ledger_columns_consistent():
 # CSV and determinism
 # ---------------------------------------------------------------------------
 
-def test_csv_schema_and_determinism(tmp_path):
+def test_csv_schema(tmp_path):
     cfg = cl.ExperimentConfig("mset:6:2", ["hedge", "omd-mset"], "mset-lb",
                               horizon=20, trials=3, seed=4, mode="sampled",
                               out=str(tmp_path / "a.csv"))
-    res1 = cl.run_experiment(cfg)
-    text1 = (tmp_path / "a.csv").read_bytes()
-    cfg2 = cl.ExperimentConfig("mset:6:2", ["hedge", "omd-mset"], "mset-lb",
-                               horizon=20, trials=3, seed=4, mode="sampled",
-                               out=str(tmp_path / "b.csv"))
-    cl.run_experiment(cfg2)
-    text2 = (tmp_path / "b.csv").read_bytes()
-    assert text1 == text2
-    lines = text1.decode().splitlines()
+    cl.run_experiment(cfg)
+    lines = (tmp_path / "a.csv").read_text().splitlines()
     assert lines[0] == "trial,t,learner,loss,cum_loss,cum_best,regret"
     assert len(lines) == 1 + 3 * 2 * 20
     first = lines[1].split(",")
