@@ -42,15 +42,16 @@ class CompiledDag:
     The pass keeps two values per vertex: slot ``v`` reduces over the
     out-edges of ``v`` (the backward DP, toward the sink) and slot
     ``n_vertices + v`` over its in-edges (the forward DP, from the source).
-    Level ``k`` holds the backward slots of height ``k`` (longest hop count
-    to a vertex without out-edges) and the forward slots of depth ``k``
-    (longest hop count from a vertex without in-edges), so every value a
-    level reads is final before it runs.  Within a level the edges are
-    grouped by slot, then ordered by edge index; ``edge_order`` lists the
-    edge of each position.  Each entry of ``levels`` is
-    ``(lo, hi, gather, starts, scatter)``: the level's slice of
-    ``edge_order``, the slot at the far end of each of its edges, the
-    offset of each slot's group in the slice, and the slots it sets.
+    With ``depth`` the longest hop count from a vertex without in-edges,
+    level ``k`` holds the backward slots ``u`` with ``max depth - depth[u]
+    == k`` and the forward slots ``v`` with ``depth[v] == k``.  Every edge
+    ends deeper than it starts, so every value a level reads is final
+    before it runs.  Within a level the edges are grouped by slot, then
+    ordered by edge index; ``edge_order`` lists the edge of each position.
+    Each entry of ``levels`` is ``(lo, hi, gather, starts, scatter)``: the
+    level's slice of ``edge_order``, the slot at the far end of each of its
+    edges, the offset of each slot's group in the slice, and the slots it
+    sets.
     Edges out of the sink and into the source lie on no s-t path and are
     left out of the backward and forward halves.
     """
@@ -79,32 +80,39 @@ class Dag:
                 raise PreconditionError(f"edge {idx} endpoints out of range")
             self.out_edges[u].append(idx)
         self.out_edges = [np.array(ix, dtype=int) for ix in self.out_edges]
-        self._topo = None
 
     # -- structure ---------------------------------------------------------
 
+    @functools.cached_property
+    def _kahn_levels(self):
+        """``(order, depth)`` by a level-synchronous Kahn sweep; ``order``
+        is None if cyclic.  Level ``k + 1`` holds the vertices whose last
+        in-edge leaves level ``k``, so it is their depth, the longest hop
+        count from a vertex without in-edges; ``order`` lists the levels,
+        each sorted."""
+        indeg = [0] * self.n_vertices
+        heads = [[] for _ in range(self.n_vertices)]
+        for u, v in self.edges:
+            indeg[v] += 1
+            heads[u].append(v)
+        depth = [0] * self.n_vertices
+        level = [v for v in range(self.n_vertices) if indeg[v] == 0]
+        order = []
+        while level:
+            order += level
+            ready = []
+            for u in level:
+                for v in heads[u]:
+                    indeg[v] -= 1
+                    if indeg[v] == 0:
+                        depth[v] = depth[u] + 1
+                        ready.append(v)
+            level = sorted(ready)
+        return order if len(order) == self.n_vertices else None, depth
+
     def topological_order(self):
         """Vertex order with every edge pointing forward; None if cyclic."""
-        if self._topo is not None:
-            return self._topo
-        indeg = np.zeros(self.n_vertices, dtype=int)
-        for _, v in self.edges:
-            indeg[v] += 1
-        ready = sorted(v for v in range(self.n_vertices) if indeg[v] == 0)
-        order = []
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            for e in self.out_edges[u]:
-                v = self.edges[e][1]
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
-        if len(order) != self.n_vertices:
-            return None
-        self._topo = order
-        return order
+        return self._kahn_levels[0]
 
     def validate(self):
         """Check acyclicity, reachability from source, co-reachability of sink.
@@ -181,29 +189,19 @@ class Dag:
     def compiled(self):
         """The ``CompiledDag`` of this graph, built on first use.
 
-        One sweep over the topological order gives every vertex its depth
-        and height, and one sort groups the edges by level.
+        The Kahn sweep gives every vertex its depth, and one sort groups
+        the edges by level.
         """
-        order = self.topological_order()
+        order, depth = self._kahn_levels
         if order is None:
             raise PreconditionError("graph is cyclic")
         n = self.n_vertices
         tails = np.array([u for u, _ in self.edges], dtype=np.intp)
         heads = np.array([v for _, v in self.edges], dtype=np.intp)
-        position = np.empty(n, dtype=np.intp)
-        position[order] = np.arange(n)
-        by_tail = np.argsort(position[tails], kind="stable").tolist()
-        depth = [0] * n
-        height = [0] * n
-        for e in by_tail:
-            u, v = self.edges[e]
-            depth[v] = max(depth[v], depth[u] + 1)
-        for e in reversed(by_tail):
-            u, v = self.edges[e]
-            height[u] = max(height[u], height[v] + 1)
+        depth = np.array(depth, dtype=np.intp)
         near = np.concatenate([tails, heads + n])
         far = np.concatenate([heads, tails + n])
-        level = np.concatenate([np.array(height)[tails], np.array(depth)[heads]])
+        level = np.concatenate([depth.max() - depth[tails], depth[heads]])
         keep = np.flatnonzero(np.concatenate([tails != self.sink,
                                               heads != self.source]))
         perm = keep[np.lexsort((near[keep], level[keep]))]
@@ -243,20 +241,17 @@ class Dag:
         if self.path_count() > ENUMERATION_CAP:
             raise CapExceeded(f"path count exceeds cap {ENUMERATION_CAP}")
         paths = []
-        stack = []
-
-        def dfs(u):
+        stack = [(self.source, [])]  # (vertex reached, edges taken so far)
+        while stack:
+            u, taken = stack.pop()
             if u == self.sink:
                 x = np.zeros(self.n_edges)
-                x[stack] = 1.0
+                x[taken] = 1.0
                 paths.append(x)
-                return
-            for e in self.out_edges[u]:
-                stack.append(e)
-                dfs(self.edges[e][1])
-                stack.pop()
-
-        dfs(self.source)
+                continue
+            # pushed last-edge first, so the lowest edge is popped first
+            stack += [(self.edges[e][1], taken + [e])
+                      for e in self.out_edges[u][::-1].tolist()]
         return paths
 
     def vertex_loads(self, x):
@@ -310,10 +305,12 @@ def load_dag(path):
     """
     with open(path) as fh:
         tokens = fh.read().split()
-    if not tokens or tokens[0] != "dag":
-        raise PreconditionError(f"{path}: expected header starting with 'dag'")
-    n, m, s, t = (int(x) for x in tokens[1:5])
-    nums = [int(x) for x in tokens[5:]]
+    if len(tokens) < 5 or tokens[0] != "dag":
+        raise PreconditionError(f"{path}: expected 'dag <n> <m> <s> <t>'")
+    try:
+        n, m, s, t, *nums = (int(x) for x in tokens[1:])
+    except ValueError as err:
+        raise PreconditionError(f"{path}: {err}") from None
     if len(nums) != 2 * m:
         raise PreconditionError(f"{path}: expected {m} edges, found {len(nums) // 2}")
     edges = list(zip(nums[0::2], nums[1::2]))
@@ -333,7 +330,8 @@ def flow_check(dag, x):
 
 
 def flow_residual(x, excess):
-    """The residual of :func:`flow_check` from ``excess = B x - b``."""
+    """The larger of ``max |excess|`` and the box violation of ``x``: the
+    residual of :func:`flow_check` from ``excess = B x - b``."""
     return max(float(np.max(np.abs(excess))),
                float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
 
@@ -524,9 +522,7 @@ class MSet(DecisionSet):
 
     def membership_residual(self, x):
         x = np.asarray(x, dtype=float)
-        res = abs(x.sum() - self.m)
-        res = max(res, float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
-        return res
+        return flow_residual(x, np.array([x.sum() - self.m]))
 
 
 class MultitaskSet(DecisionSet):
@@ -584,9 +580,8 @@ class MultitaskSet(DecisionSet):
 
     def membership_residual(self, x):
         x = np.asarray(x, dtype=float)
-        res = max(abs(x[sl].sum() - 1.0) for sl in self.block_slices)
-        res = max(res, float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
-        return res
+        return flow_residual(x, np.array([x[sl].sum() - 1.0
+                                          for sl in self.block_slices]))
 
 
 class DagPathSet(DecisionSet):
@@ -625,24 +620,16 @@ def mset_selection_dag(d, m):
     edge from level i taken upward carries coordinate i.  Returns
     ``(dag, coordinate_of_edge)`` with -1 marking skip edges.
     """
-    vid = {}
-    for i in range(d + 1):
-        lo = max(0, m - (d - i))
-        hi = min(i, m)
-        for j in range(lo, hi + 1):
-            vid[(i, j)] = len(vid)
+    states = [(i, j) for i in range(d + 1)
+              for j in range(max(0, m - (d - i)), min(i, m) + 1)]
+    vid = {state: k for k, state in enumerate(states)}
     edges = []
     coord = []
-    for i in range(d):
-        lo = max(0, m - (d - i))
-        hi = min(i, m)
-        for j in range(lo, hi + 1):
-            if (i + 1, j) in vid:
-                edges.append((vid[(i, j)], vid[(i + 1, j)]))
-                coord.append(-1)
-            if (i + 1, j + 1) in vid:
-                edges.append((vid[(i, j)], vid[(i + 1, j + 1)]))
-                coord.append(i)
+    for i, j in states:
+        for nxt, c in (((i + 1, j), -1), ((i + 1, j + 1), i)):
+            if nxt in vid:
+                edges.append((vid[(i, j)], vid[nxt]))
+                coord.append(c)
     dag = Dag(len(vid), edges, vid[(0, 0)], vid[(d, m)])
     return dag, np.array(coord, dtype=int)
 

@@ -275,14 +275,16 @@ class DilatedOmd(Learner):
         self.dag = decision_set.dag
         self.reg = DilatedEntropy(self.dag)
         self.iterate = uniform_path_flow(self.dag)
+        # reg.grad at the iterate; each proximal solve reports the next one
+        self.reg_grad = self.reg.grad(self.iterate)
 
     def _compute_policy(self):
         return self.iterate.copy()
 
     def _absorb(self, y):
-        linear = self.eta * y - self.reg.grad(self.iterate)
-        self.iterate, _ = flow_prox_newton(self.dag, self.reg, self.iterate,
-                                           linear)
+        self.iterate, info = flow_prox_newton(self.dag, self.reg, self.iterate,
+                                              self.eta * y - self.reg_grad)
+        self.reg_grad = info["grad"]
 
     def sample(self, rng):
         return sample_path(self.dag, self.propose(), rng)

@@ -126,10 +126,10 @@ def flow_prox_newton(dag, reg, x_start, linear):
     proximal step is obtained with ``linear = eta*y - reg.grad(x_old)``;
     the plain regularizer minimizer with ``linear = 0``.
 
-    Returns ``(x, info)`` where info carries the final residual and
-    iteration count.  Raises :class:`SolverFailure` if the KKT residual
-    does not reach ``SOLVER_TOL`` within ``NEWTON_MAX_ITER``
-    iterations.
+    Returns ``(x, info)`` where info carries the final residual, the
+    iteration count and ``reg.grad(x)`` as ``grad``.  Raises
+    :class:`SolverFailure` if the KKT residual does not reach
+    ``SOLVER_TOL`` within ``NEWTON_MAX_ITER`` iterations.
     """
     a_mat, b_vec, a_ls = dag.flow_system
     n_edges, n_rows = dag.n_edges, a_mat.shape[0]
@@ -145,7 +145,8 @@ def flow_prox_newton(dag, reg, x_start, linear):
 
     residual = np.inf
     for iteration in range(NEWTON_MAX_ITER):
-        grad = linear + reg.grad(x)
+        reg_grad = reg.grad(x)
+        grad = linear + reg_grad
         # Stationarity is measured against the best multiplier for the
         # CURRENT point (least squares, nu = -pinv(A^T) grad), not the one
         # riding along with the Newton step, which is conditioning-limited
@@ -153,7 +154,8 @@ def flow_prox_newton(dag, reg, x_start, linear):
         residual = max(float(np.max(np.abs(grad - a_mat.T @ (a_ls @ grad)))),
                        float(np.max(np.abs(a_mat @ x - b_vec))))
         if residual <= SOLVER_TOL:
-            return x, {"residual": residual, "iterations": iteration}
+            return x, {"residual": residual, "iterations": iteration,
+                       "grad": reg_grad}
         kkt[:n_edges, :n_edges] = reg.hessian_matrix(x)
         rhs[:n_edges] = -grad
         try:

@@ -180,6 +180,7 @@ def test_dag_validate_cycle():
     dag = cl.Dag(4, [(0, 1), (1, 2), (2, 1), (1, 3)], 0, 3)
     defects = dag.validate()
     assert any('cycle' in d for d in defects)
+    assert dag.topological_order() is None
 
 
 def test_flow_check_examples():
@@ -281,9 +282,10 @@ def _loop_extreme_path(dag, y, mode):
 
 def _skip_level_dag():
     """Edges that jump levels, a parallel pair, and edge indices out of
-    topological order.  Vertex 4 comes after vertex 2 in the topological
-    order but is shallower, and vertex 1's first out-edge is its shortest
-    way to the sink, so depth and height must be maxima over all edges."""
+    topological order.  Vertex 5's in-edges come from depths 2 and 1, so a
+    depth must be the maximum over all in-edges, and vertex 1's backward
+    slot (level 4 - 1) comes after vertex 2's (level 4 - 2) though vertex 1
+    also has an edge straight to the sink."""
     return cl.Dag(7, [(5, 6), (0, 1), (1, 6), (2, 5), (0, 4), (4, 5), (0, 6),
                       (2, 3), (3, 6), (0, 1), (1, 2)], 0, 6)
 
@@ -331,9 +333,25 @@ def test_extreme_path_ties_go_to_the_lowest_edge():
     assert np.flatnonzero(dag.extreme_path(y)).tolist() == [0, 1, 3, 10]
 
 
+def _longest_hop_count(dag):
+    """Relax every edge until no vertex's longest hop count grows."""
+    hops = [0] * dag.n_vertices
+    grown = True
+    while grown:
+        grown = False
+        for u, v in dag.edges:
+            if hops[u] + 1 > hops[v]:
+                hops[v], grown = hops[u] + 1, True
+    return max(hops)
+
+
 def test_compiled_levels_hold_each_edge_once_per_direction():
-    for dag in _pass_test_dags() + [mset_selection_dag(8, 3)[0]]:
+    for dag in _pass_test_dags() + [mset_selection_dag(8, 3)[0],
+                                    chain_dag(1200)]:
+        position = {v: i for i, v in enumerate(dag.topological_order())}
+        assert all(position[u] < position[v] for u, v in dag.edges)
         compiled, n = dag.compiled, dag.n_vertices
+        assert len(compiled.levels) == _longest_hop_count(dag)
         final = {dag.sink, n + dag.source}
         placed = []
         for lo, hi, gather, starts, scatter in compiled.levels:
@@ -349,6 +367,32 @@ def test_compiled_levels_hold_each_edge_once_per_direction():
             final.update(scatter.tolist())
         assert sorted(placed) == [(fwd, e) for fwd in (False, True)
                                   for e in range(dag.n_edges)]
+
+
+def _recursive_paths(dag):
+    """Lowest-edge-first DFS by recursion: the walk ``enumerate_paths``
+    replaced."""
+    paths, stack = [], []
+
+    def dfs(u):
+        if u == dag.sink:
+            x = np.zeros(dag.n_edges)
+            x[stack] = 1.0
+            paths.append(x)
+            return
+        for e in dag.out_edges[u]:
+            stack.append(e)
+            dfs(dag.edges[e][1])
+            stack.pop()
+
+    dfs(dag.source)
+    return paths
+
+
+def test_enumerate_paths_keeps_the_recursive_order():
+    for dag in _pass_test_dags():
+        got = [x.tolist() for x in dag.enumerate_paths()]
+        assert got == [x.tolist() for x in _recursive_paths(dag)]
 
 
 def test_weight_pushing_matches_explicit_hedge_on_pass_dags():
@@ -405,3 +449,11 @@ def test_membership_residuals():
     assert s.membership_residual(np.full(4, 0.6)) == pytest.approx(0.4)
     es = hypercube_set(2)
     assert es.membership_residual(np.array([0.5, 0.5])) <= 1e-9
+    mt = cl.MultitaskSet([2, 3])
+    assert mt.membership_residual(np.array([0.5, 0.5, 0.2, 0.3, 0.5])) == 0.0
+    assert mt.membership_residual(np.array([0.6, 0.7, 0.2, 0.3, 0.5])) \
+        == pytest.approx(0.3)
+    ds = cl.DagPathSet(diamond_dag())
+    assert ds.membership_residual(np.full(4, 0.5)) == 0.0
+    assert ds.membership_residual(np.array([0.7, 0.7, 0.3, 0.3])) \
+        == pytest.approx(0.4)

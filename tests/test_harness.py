@@ -309,13 +309,36 @@ def test_cli_reports_an_error_in_one_line(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("comblab: PreconditionError: config key T: "
                             "bad value 'abc'\n")
+    bad_header = tmp_path / "bad_header.dag"
+    bad_header.write_text("dag x 4 0 3\n0 1\n0 2\n1 3\n2 3\n")
+    short_header = tmp_path / "short_header.dag"
+    short_header.write_text("dag 4\n")
     for argv in (["run", str(tmp_path / "missing.cfg")],
-                 ["equiv-check", str(tmp_path / "missing.dag")]):
+                 ["equiv-check", str(tmp_path / "missing.dag")],
+                 ["equiv-check", str(bad_header)],
+                 ["equiv-check", str(short_header)]):
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("comblab: PreconditionError: ")
         assert argv[1] in captured.err and captured.err.count("\n") == 1
+
+
+def test_long_chain_fails_in_one_line_without_recursion(tmp_path, capsys):
+    n_edges = 1200
+    dagfile = tmp_path / "chain.dag"
+    dagfile.write_text(f"dag {n_edges + 1} {n_edges} 0 {n_edges}\n"
+                       + "".join(f"{i} {i + 1}\n" for i in range(n_edges)))
+    cfgfile = tmp_path / "chain.cfg"
+    cfgfile.write_text(f"set=dag:{dagfile}\nlearner=hedge:eta=0.1\n"
+                       "adversary=universal\nT=10\n")
+    assert cli_main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("comblab: ShatteringNotFound: trial 0, round 0: "
+                            "no shattered index set of size 1\n")
+    [path] = cl.DagPathSet(chain_dag(5000)).enumerate_vertices()
+    assert path.tolist() == [1.0] * 5000
 
 
 def test_trial_error_keeps_the_solver_residual(monkeypatch):

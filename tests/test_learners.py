@@ -336,6 +336,36 @@ def test_dilated_omd_builds_its_kkt_system_once(monkeypatch):
     assert calls == {"pinv": 1, "lstsq": 0}
 
 
+def test_dilated_omd_reuses_the_solver_gradient(monkeypatch):
+    # Each step starts from the gradient the previous solve ended on, so
+    # every gradient of a step is one of the solver's iterations; the
+    # iterates equal those of evaluating it afresh.
+    import comblab.learners as ln
+    dset = cl.build_set("dag-layered:16:32")
+    learner = cl.DilatedOmd(dset, 0.3)
+    reg, x = learner.reg, learner.iterate
+    stream = cl.GaussianFeasibleStream(dset, 10, RngStream(42, 0))
+    losses = [stream.loss(t) for t in range(1, 11)]
+    grads, solver_grads = [], []
+    grad = type(reg).grad
+    monkeypatch.setattr(type(reg), "grad",
+                        lambda self, pt: grads.append(1) or grad(self, pt))
+
+    def solve(*args):
+        point, info = flow_prox_newton(*args)
+        solver_grads.append(info["iterations"] + 1)
+        return point, info
+
+    monkeypatch.setattr(ln, "flow_prox_newton", solve)
+    for y in losses:
+        learner.step(y)
+    assert len(grads) == sum(solver_grads)
+    monkeypatch.undo()
+    for y in losses:
+        x, _ = flow_prox_newton(dset.dag, reg, x, 0.3 * y - reg.grad(x))
+    assert np.array_equal(learner.iterate, x)
+
+
 def test_shift_losses_zero():
     shifted, alpha = cl.shift_losses(diamond_dag(), np.zeros(4))
     assert np.allclose(shifted, 0.0) and alpha == 0.0
