@@ -142,8 +142,6 @@ def largest_remainder(total, shares):
 class LossStream:
     """One materialised loss sequence; ``loss(t)`` is pure for t in 1..T."""
 
-    name = "stream"
-
     def __init__(self, dimension, horizon):
         self.dimension = int(dimension)
         self.horizon = int(horizon)
@@ -157,8 +155,6 @@ class LossStream:
 
 
 class ConstantStream(LossStream):
-    name = "constant"
-
     def __init__(self, vector, horizon):
         vector = np.asarray(vector, dtype=float)
         super().__init__(vector.size, horizon)
@@ -172,21 +168,18 @@ class ConstantStream(LossStream):
 class UniversalStream(LossStream):
     """Rademacher signs on one shattered coordinate per time segment.
 
-    The segment count defaults to the guaranteed shattering size for the
-    set; rounds are split as evenly as possible with the remainder spread
-    over the earliest segments.  The shattered set depends on the set and
-    ``k`` alone, so streams of several trials can share one ``shattered``
-    found beforehand, in which case ``k`` is its size.
+    The segment count is the size of ``shattered``, by default a shattered
+    set of the guaranteed size for the set; rounds are split as evenly as
+    possible with the remainder spread over the earliest segments.  The
+    shattered set depends on the set and its size alone, so streams of
+    several trials can share one found beforehand.
     """
 
-    name = "universal"
-
-    def __init__(self, decision_set, horizon, rng, k=None, shattered=None):
+    def __init__(self, decision_set, horizon, rng, shattered=None):
         super().__init__(decision_set.dimension, horizon)
         if shattered is None:
-            if k is None:
-                k = universal_shattering_size(decision_set)
-            shattered = find_shattered_set(decision_set, k)
+            shattered = find_shattered_set(
+                decision_set, universal_shattering_size(decision_set))
         self.shattered = shattered
         k = shattered.size
         sizes = [horizon // k + (1 if i < horizon % k else 0) for i in range(k)]
@@ -204,8 +197,6 @@ class UniversalStream(LossStream):
 
 class MSetLbStream(LossStream):
     """Blockwise sign patterns scaled by 1/m; requires m to divide d."""
-
-    name = "mset-lb"
 
     def __init__(self, d, m, horizon, rng):
         if d % m != 0:
@@ -237,8 +228,6 @@ class HedgeKillerStream(LossStream):
     whose cumulative depth is exactly ``ln(d/m)/eta`` (fractional round
     included), then +1/-1 alternation.
     """
-
-    name = "hedge-killer"
 
     def __init__(self, d, m, horizon, eta):
         if not (1 <= m <= d // 2):
@@ -278,8 +267,6 @@ class MultitaskPhaseStream(LossStream):
     block sizes (largest-remainder rounding).
     """
 
-    name = "multitask-phases"
-
     def __init__(self, block_sizes, horizon, rng):
         sizes = [int(b) for b in block_sizes]
         if not sizes or any(b < 2 for b in sizes):
@@ -305,8 +292,6 @@ class MultitaskPhaseStream(LossStream):
 
 class DagLayeredStream(LossStream):
     """Per-layer sign patterns on the first-hop edges of a layered DAG."""
-
-    name = "dag-layered"
 
     def __init__(self, first_hop_edges, n_edges, horizon, rng):
         super().__init__(n_edges, horizon)
@@ -335,8 +320,6 @@ class GaussianFeasibleStream(LossStream):
     Harness utility (not a lower-bound construction) used for fuzzing and
     the iterate-equivalence checks.
     """
-
-    name = "gaussian"
 
     def __init__(self, decision_set, horizon, rng, scale=0.9):
         super().__init__(decision_set.dimension, horizon)
@@ -374,7 +357,7 @@ def layered_dag(d, n_paths):
     n0 = min(n_paths, 2 ** (d0 // 4))
     m = None
     for cand in range(d0 // 8, 0, -1):
-        if (d0 / (2.0 * cand)) ** cand <= n0:
+        if d0 ** cand <= n0 * (2 * cand) ** cand:
             m = cand
             break
     if m is None:

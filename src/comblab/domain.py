@@ -121,6 +121,8 @@ class Dag:
         is a valid decision-set carrier.
         """
         defects = []
+        if self.source == self.sink:
+            defects.append("source is the sink")
         if self.topological_order() is None:
             defects.append("cycle detected (no topological order exists)")
             return defects
@@ -150,25 +152,19 @@ class Dag:
         """Number of s-t paths."""
         return self.paths_to_sink()[self.source]
 
-    def extreme_path_weights(self, y):
-        """(shortest, longest) s-t path weight under edge weights ``y``."""
-        _, lo = self.semiring_pass(y, np.minimum)
-        _, hi = self.semiring_pass(y, np.maximum)
-        return lo[self.sink], hi[self.sink]
-
-    def shortest_dists_from_source(self, y):
-        """Shortest-path weight from the source to every vertex."""
-        return self.semiring_pass(y, np.minimum)[1]
-
     def extreme_path(self, y):
         """A shortest s-t path under edge weights ``y``, as an edge
         indicator (a longest one under ``-y``).
 
         Ties are broken toward the lowest edge index at each divergence, so
-        the result is the first optimal path in enumeration order.
+        the result is the first optimal path in enumeration order.  Each
+        ``best[u]`` is one of the sums ``y[e] + best[v]`` that the walk
+        compares it with, so some out-edge matches unless the weight is NaN.
         """
         y = np.asarray(y, dtype=float)
         best, _ = self.semiring_pass(y, np.minimum)
+        if np.isnan(best[self.source]):  # +inf and -inf on one path
+            raise PreconditionError("s-t path weight is NaN")
         x = np.zeros(self.n_edges)
         u = self.source
         while u != self.sink:
@@ -178,11 +174,6 @@ class Dag:
                     x[e] = 1.0
                     u = v
                     break
-            else:  # numerical guard: take the closest edge
-                e = min(self.out_edges[u],
-                        key=lambda e: abs(y[e] + best[self.edges[e][1]] - best[u]))
-                x[e] = 1.0
-                u = self.edges[e][1]
         return x
 
     @functools.cached_property
@@ -418,10 +409,6 @@ class DecisionSet:
         """
         raise NotImplementedError
 
-    def membership_residual(self, x):
-        """How far ``x`` is from the convex hull (0 means inside)."""
-        raise NotImplementedError
-
 
 class ExplicitSet(DecisionSet):
     """Decision set given by an explicit list of distinct binary vectors."""
@@ -453,29 +440,6 @@ class ExplicitSet(DecisionSet):
         prods = self.vertices @ np.asarray(cum_loss, dtype=float)
         idx = int(np.argmin(prods))
         return self.vertices[idx].copy(), float(prods[idx])
-
-    def membership_residual(self, x):
-        # Linear feasibility: x = V' w, w >= 0, sum w = 1 (desk-scale LP).
-        x = np.asarray(x, dtype=float)
-        n = self.count()
-        a_eq = np.vstack([self.vertices.T, np.ones(n)])
-        b_eq = np.concatenate([x, [1.0]])
-        res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq,
-                      bounds=[(0, None)] * n, method="highs")
-        if res.status == 0:
-            return 0.0
-        # Infeasible: report distance via minimised constraint violation.
-        slack = linprog(
-            np.concatenate([np.zeros(n), [1.0]]),
-            A_ub=np.vstack([
-                np.hstack([a_eq, -np.ones((a_eq.shape[0], 1))]),
-                np.hstack([-a_eq, -np.ones((a_eq.shape[0], 1))]),
-            ]),
-            b_ub=np.concatenate([b_eq, -b_eq]),
-            bounds=[(0, None)] * n + [(0, None)],
-            method="highs",
-        )
-        return float(slack.x[-1]) if slack.status == 0 else float("inf")
 
 
 class MSet(DecisionSet):
@@ -519,10 +483,6 @@ class MSet(DecisionSet):
     def path_embedding(self):
         """The select/skip DAG of :func:`mset_selection_dag`."""
         return mset_selection_dag(self.dimension, self.m)
-
-    def membership_residual(self, x):
-        x = np.asarray(x, dtype=float)
-        return flow_residual(x, np.array([x.sum() - self.m]))
 
 
 class MultitaskSet(DecisionSet):
@@ -578,11 +538,6 @@ class MultitaskSet(DecisionSet):
         n = len(self.block_sizes)
         return Dag(n + 1, edges, 0, n), np.arange(self.dimension)
 
-    def membership_residual(self, x):
-        x = np.asarray(x, dtype=float)
-        return flow_residual(x, np.array([x[sl].sum() - 1.0
-                                          for sl in self.block_slices]))
-
 
 class DagPathSet(DecisionSet):
     """Edge indicators of all s-t paths in a validated DAG."""
@@ -602,15 +557,13 @@ class DagPathSet(DecisionSet):
         return self.dag.enumerate_paths()
 
     def _extreme_products(self, z):
-        return np.array(self.dag.extreme_path_weights(z))
+        _, lo = self.dag.semiring_pass(z, np.minimum)
+        _, hi = self.dag.semiring_pass(z, np.maximum)
+        return np.array([lo[self.dag.sink], hi[self.dag.sink]])
 
     def best_vertex(self, cum_loss):
         x = self.dag.extreme_path(cum_loss)
         return x, float(x @ np.asarray(cum_loss, dtype=float))
-
-    def membership_residual(self, x):
-        _, res = flow_check(self.dag, x)
-        return res
 
 
 def mset_selection_dag(d, m):

@@ -48,10 +48,6 @@ class ShatteringNotFound(ComblabError):
     """No index subset of the requested size is shattered by the decision set."""
 
 
-class RangeError(ComblabError):
-    """An index lies outside the recorded horizon of a ledger."""
-
-
 class InternalConsistencyError(ComblabError):
     """A mathematical invariant that should hold by theorem was violated.
 

@@ -15,6 +15,7 @@ Config files are flat ``key=value`` text with keys ``set``, ``learner``
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,7 +25,7 @@ import numpy as np
 from . import adversaries as adv
 from .domain import (DagPathSet, DecisionSet, ExplicitSet, MSet, MultitaskSet,
                      load_dag)
-from .errors import ComblabError, InternalConsistencyError, PreconditionError, RangeError
+from .errors import ComblabError, InternalConsistencyError, PreconditionError
 from .instances import hypercube_set
 from .learners import (DilatedOmd, EntropyDagOmd, MSetOmd, PathHedge,
                        check_loss, dag_entropy_rate, default_learning_rate,
@@ -59,6 +60,8 @@ class ExperimentConfig:
         if not specs or len(set(specs)) < len(specs):
             raise PreconditionError(
                 f"need one or more distinct learner specs, got {specs}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise PreconditionError(f"out={self.out}: no such directory")
 
 
 _CONFIG_KEYS = ("set", "learner", "adversary", "T", "trials", "seed", "mode",
@@ -177,7 +180,8 @@ def _hedge_killer(mset, horizon, eta):
 
 def _dag_layered(dset, horizon, d, n_paths):
     dag, factory, _ = adv.dag_hard_instance(d, n_paths, horizon)
-    if dag.n_edges != dset.dimension:
+    ours = dset.dag
+    if (dag.edges, dag.source, dag.sink) != (ours.edges, ours.source, ours.sink):
         raise PreconditionError(
             "dag-layered adversary shape does not match the decision set; "
             "use the matching dag-layered set spec")
@@ -370,13 +374,6 @@ class RegretLedger:
         return float(self.regret[-1])
 
 
-def regret_of(ledger, t):
-    """Regret at horizon ``t`` (1-indexed); best-in-hindsight is at that prefix."""
-    if not (1 <= t <= ledger.horizon):
-        raise RangeError(f"round {t} outside 1..{ledger.horizon}")
-    return float(ledger.regret[t - 1])
-
-
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
@@ -553,12 +550,12 @@ def _demo_universal(seed):
     cfg = ExperimentConfig("explicit:<hypercube-4>", ["hedge"], "universal",
                            horizon=4000, trials=200, seed=seed)
     res = run_experiment(cfg, decision_set=dset)
-    probe = adv.UniversalStream(dset, cfg.horizon, RngStream(seed, 0, 0))
-    rate = math.sqrt(cfg.horizon * probe.shattered.size / 8.0)
+    segments = adv.universal_shattering_size(dset)
+    rate = math.sqrt(cfg.horizon * segments / 8.0)
     stats = res.summary["hedge"]
     return {
         "instance": "hypercube d=4, Rademacher segments on a shattered set",
-        "segments": probe.shattered.size,
+        "segments": segments,
         "measured_mean_regret": stats["mean_final_regret"],
         "std_error": stats["std"] / math.sqrt(stats["trials"]),
         "theory_rate sqrt(T*|I|/8)": rate,

@@ -35,11 +35,20 @@ from .sampling import sample_explicit, sample_mset, sample_path
 # learning rates
 # ---------------------------------------------------------------------------
 
+def _log_count(decision_set):
+    """``ln|X|``, which a default rate needs to be positive."""
+    log_count = decision_set.log_count()
+    if log_count == 0.0:
+        raise PreconditionError("the decision set has one vertex, so the "
+                                "default rate is 0; set eta")
+    return log_count
+
+
 def default_learning_rate(decision_set, horizon):
     """``sqrt(ln|X| / T)`` with the log-count in closed form per variant."""
     if horizon < 1:
         raise PreconditionError("horizon must be at least 1")
-    return math.sqrt(decision_set.log_count() / horizon)
+    return math.sqrt(_log_count(decision_set) / horizon)
 
 
 def mset_omd_rate(d, m, horizon):
@@ -49,7 +58,7 @@ def mset_omd_rate(d, m, horizon):
 
 def dag_entropy_rate(decision_set, horizon):
     """Prescribed rate of the shifted-loss entropy learner on DAGs."""
-    return math.sqrt(decision_set.log_count() * math.log(decision_set.dimension)
+    return math.sqrt(_log_count(decision_set) * math.log(decision_set.dimension)
                      / horizon)
 
 
@@ -325,7 +334,7 @@ class EntropyDagOmd(Learner):
 
 
 # ---------------------------------------------------------------------------
-# loss shifting and hindsight
+# loss shifting
 # ---------------------------------------------------------------------------
 
 def shift_losses(dag, y):
@@ -340,15 +349,6 @@ def shift_losses(dag, y):
     Returns ``(y_shifted, alpha)``.
     """
     y = np.asarray(y, dtype=float)
-    dist = dag.shortest_dists_from_source(y)
+    _, dist = dag.semiring_pass(y, np.minimum)
     shifted = y + dist[dag.compiled.tails] - dist[dag.compiled.heads]
     return shifted, float(-dist[dag.sink])
-
-
-def best_in_hindsight(decision_set, losses):
-    """Exact loss minimizer over the whole stream; ``(vertex, value)``."""
-    losses = list(losses)
-    if not losses:
-        raise PreconditionError("need at least one loss vector")
-    total = np.sum(np.asarray(losses, dtype=float), axis=0)
-    return decision_set.best_vertex(total)

@@ -67,10 +67,6 @@ class Regularizer:
             raise InternalConsistencyError(f"negative Bregman divergence {div!r}")
         return max(div, 0.0)
 
-    def minimizer(self):
-        """Argmin over the regularizer's domain polytope, in closed form."""
-        raise NotImplementedError
-
 
 class MSetRegularizer(Regularizer):
     """Quadratic-plus-scaled-entropy regularizer for exactly-m-of-d sets."""
@@ -95,11 +91,6 @@ class MSetRegularizer(Regularizer):
         _check_positive(x)
         return float(np.sum(z * z * (2.0 + 1.0 / (self.m * x))))
 
-    def hessian_matrix(self, x):
-        x = np.asarray(x, dtype=float)
-        _check_positive(x)
-        return np.diag(2.0 + 1.0 / (self.m * x))
-
     def minimizer(self):
         # Symmetric strictly convex function on a permutation-symmetric
         # polytope: the uniform point m/d minimizes.
@@ -118,12 +109,6 @@ class NegativeEntropy(Regularizer):
         x = np.asarray(x, dtype=float)
         _check_positive(x)
         return np.log(x)
-
-    def hessian_quadform(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        _check_positive(x)
-        return float(np.sum(z * z / x))
 
     def hessian_matrix(self, x):
         x = np.asarray(x, dtype=float)
@@ -181,10 +166,6 @@ class DilatedEntropy(Regularizer):
         h -= same_star / self.dag.vertex_loads(x)[tails][:, None]
         return h
 
-    def minimizer(self):
-        """The flow induced by the uniform distribution over s-t paths."""
-        return uniform_path_flow(self.dag)
-
 
 def uniform_path_flow(dag):
     """Edge marginals of the uniform distribution over all s-t paths."""
@@ -201,25 +182,16 @@ def uniform_path_flow(dag):
     return flow
 
 
-def path_distribution(dag, flow):
-    """All s-t paths with their Markovian-sampling probabilities under ``flow``.
-
-    Returns ``(paths, probs)``; probabilities multiply the conditional edge
-    choices ``flow[e] / flow[tail(e)]`` along each path.
-    """
+def path_entropy_sum(dag, flow):
+    """``sum_p P(p) ln P(p)`` by path enumeration (oracle for the dilated
+    form), where ``P(p)`` multiplies the conditional edge choices
+    ``flow[e] / flow[tail(e)]`` along ``p``."""
     flow = np.asarray(flow, dtype=float)
     loads = dag.vertex_loads(flow)
-    paths = dag.enumerate_paths()
     probs = []
-    for x in paths:
+    for x in dag.enumerate_paths():
         p = 1.0
         for e in np.flatnonzero(x):
             p *= flow[e] / loads[dag.edges[e][0]]
         probs.append(p)
-    return paths, np.array(probs)
-
-
-def path_entropy_sum(dag, flow):
-    """``sum_p P(p) ln P(p)`` by path enumeration (oracle for the dilated form)."""
-    _, probs = path_distribution(dag, flow)
-    return float(np.sum(_xlogx(probs)))
+    return float(np.sum(_xlogx(np.array(probs))))

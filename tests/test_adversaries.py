@@ -78,7 +78,9 @@ def test_dk_zero_mean_every_size():
 # ---------------------------------------------------------------------------
 
 def test_universal_hypercube2_with_two_segments():
-    stream = cl.UniversalStream(hypercube_set(2), 2, RngStream(3, 0), k=2)
+    cube = hypercube_set(2)
+    stream = cl.UniversalStream(cube, 2, RngStream(3, 0),
+                                shattered=cl.find_shattered_set(cube, 2))
     assert stream.segment_sizes == [1, 1]
     y1, y2 = stream.loss(1), stream.loss(2)
     assert abs(y1[0]) == 1.0 and y1[1] == 0.0
@@ -86,7 +88,9 @@ def test_universal_hypercube2_with_two_segments():
 
 
 def test_universal_segment_apportionment():
-    stream = cl.UniversalStream(hypercube_set(3), 10, RngStream(3, 1), k=3)
+    cube = hypercube_set(3)
+    stream = cl.UniversalStream(cube, 10, RngStream(3, 1),
+                                shattered=cl.find_shattered_set(cube, 3))
     assert stream.segment_sizes == [4, 3, 3]
     assert sum(stream.segment_sizes) == 10
 

@@ -183,6 +183,11 @@ def test_dag_validate_cycle():
     assert dag.topological_order() is None
 
 
+def test_dag_validate_source_is_the_sink():
+    assert cl.Dag(1, [], 0, 0).validate() == ["source is the sink"]
+    assert chain_dag(2).validate() == []  # a single path stays valid
+
+
 def test_flow_check_examples():
     d = diamond_dag()
     ok, res = cl.flow_check(d, np.full(4, 0.5))
@@ -313,12 +318,19 @@ def test_semiring_pass_min_max_match_loops_bit_for_bit():
     for dag in _pass_test_dags() + [off_path]:
         for y in _losses_with_ties(dag, gen):
             lo, hi = _loop_extreme_path_weights(dag, y)
-            assert np.array_equal(dag.shortest_dists_from_source(y), lo)
-            assert dag.extreme_path_weights(y) == (lo[dag.sink], hi[dag.sink])
+            assert np.array_equal(dag.semiring_pass(y, np.minimum)[1], lo)
+            assert np.array_equal(dag.semiring_pass(y, np.maximum)[1], hi)
             assert np.array_equal(dag.extreme_path(y),
                                   _loop_extreme_path(dag, y, "min"))
             assert np.array_equal(dag.extreme_path(-y),
                                   _loop_extreme_path(dag, y, "max"))
+
+
+def test_extreme_path_rejects_a_nan_path_weight():
+    # overflowed running sums: no out-edge's sum equals a NaN best weight
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(cl.PreconditionError, match="NaN"):
+        chain_dag(2).extreme_path(np.array([np.inf, -np.inf]))
 
 
 def test_extreme_path_ties_go_to_the_lowest_edge():
@@ -442,18 +454,3 @@ def test_best_vertex_matches_enumeration():
             _, val = dset.best_vertex(z)
             assert val == pytest.approx(float(np.min(mat @ z)), abs=1e-12)
 
-
-def test_membership_residuals():
-    s = cl.MSet(4, 2)
-    assert s.membership_residual(np.full(4, 0.5)) <= 1e-12
-    assert s.membership_residual(np.full(4, 0.6)) == pytest.approx(0.4)
-    es = hypercube_set(2)
-    assert es.membership_residual(np.array([0.5, 0.5])) <= 1e-9
-    mt = cl.MultitaskSet([2, 3])
-    assert mt.membership_residual(np.array([0.5, 0.5, 0.2, 0.3, 0.5])) == 0.0
-    assert mt.membership_residual(np.array([0.6, 0.7, 0.2, 0.3, 0.5])) \
-        == pytest.approx(0.3)
-    ds = cl.DagPathSet(diamond_dag())
-    assert ds.membership_residual(np.full(4, 0.5)) == 0.0
-    assert ds.membership_residual(np.array([0.7, 0.7, 0.3, 0.3])) \
-        == pytest.approx(0.4)

@@ -341,6 +341,86 @@ def test_long_chain_fails_in_one_line_without_recursion(tmp_path, capsys):
     assert path.tolist() == [1.0] * 5000
 
 
+def test_out_in_a_missing_directory_fails_before_round_1(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("set=mset:8:2\nlearner=hedge\nadversary=mset-lb\n"
+                       f"T=20\nout={out}\n")
+    assert cli_main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("comblab: PreconditionError: "
+                            f"out={out}: no such directory\n")
+
+
+def test_one_vertex_sets_fail_in_one_line(tmp_path, capsys):
+    single = tmp_path / "single.dag"
+    single.write_text("dag 1 0 0 0\n")  # the source is the sink
+    chain = tmp_path / "chain.dag"
+    chain.write_text("dag 3 2 0 2\n0 1\n1 2\n")  # one path
+    failing = {(single, "hedge"): "set spec .*: invalid DAG: source is "
+                                  "the sink",
+               (chain, "hedge"): "trial 0, round 0: learner spec 'hedge': "
+                                 "the decision set has one vertex",
+               (chain, "omd-entropy-dag"): "the decision set has one vertex"}
+    for (dagfile, learner), message in failing.items():
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"set=dag:{dagfile}\nlearner={learner}\n"
+                           "adversary=gaussian\nT=5\n")
+        assert cli_main(["run", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.search(message, captured.err)
+    assert cli_main(["equiv-check", str(single)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("comblab: PreconditionError: invalid DAG: "
+                            "source is the sink\n")
+    # with the rates set, a chain runs as before
+    cfgfile.write_text(f"set=dag:{chain}\nlearner=hedge:eta=0.2,"
+                       "omd-entropy-dag:eta=0.3\nadversary=gaussian\nT=5\n")
+    assert cli_main(["run", str(cfgfile)]) == 0
+    assert cli_main(["equiv-check", str(chain), "--T", "5"]) == 0
+
+
+def test_dag_layered_builds_past_the_float_range(tmp_path):
+    # the first candidate layer counts overflow (d0 / 2m) ** m as a float
+    for spec, shape in (("dag-layered:4096:8192", (1, 2048)),
+                        ("dag-layered:4096:1048576", (2, 1024)),
+                        ("dag-layered:8192:16777216", (2, 2048))):
+        _, d, n_paths = spec.split(":")
+        meta = cl.layered_dag(int(d), int(n_paths))[2]
+        assert (meta["layers"], meta["width"]) == shape
+        assert cl.build_set(spec).dimension == int(d)
+    # path budgets past the float range: (8192 / 2048) ** 1024 == 2 ** 2048
+    assert cl.layered_dag(8192, 2 ** 3000)[2]["layers"] == 1024
+    assert cl.layered_dag(8192, 4 ** 1024 - 1)[2]["layers"] == 1023
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("set=dag-layered:4096:8192\nlearner=hedge\n"
+                       "adversary=dag-layered:4096:8192\nT=5\n")
+    assert cli_main(["run", str(cfgfile)]) == 0
+
+
+def test_dag_layered_adversary_needs_its_own_graph(tmp_path):
+    def write(name, dag):
+        path = tmp_path / name
+        path.write_text(f"dag {dag.n_vertices} {dag.n_edges} {dag.source} "
+                        f"{dag.sink}\n"
+                        + "".join(f"{u} {v}\n" for u, v in dag.edges))
+        return f"dag:{path}"
+
+    def run(set_spec):
+        return cl.run_experiment(cl.ExperimentConfig(
+            set_spec, ["hedge"], "dag-layered:16:32", horizon=50, seed=0))
+
+    # as many edges as the layered graph, but all parallel
+    parallel = write("parallel.dag", cl.Dag(2, [(0, 1)] * 16, 0, 1))
+    with pytest.raises(cl.PreconditionError, match="does not match") as info:
+        run(parallel)
+    assert (info.value.trial, info.value.round) == (0, 0)
+    same = write("layered.dag", cl.layered_dag(16, 32)[0])
+    assert cl.csv_text(run(same)) == cl.csv_text(run("dag-layered:16:32"))
+
+
 def test_trial_error_keeps_the_solver_residual(monkeypatch):
     import comblab.learners as ln
 
@@ -489,18 +569,6 @@ def test_mset_hedge_builds_its_selection_dag_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # ledger
 # ---------------------------------------------------------------------------
-
-def test_regret_of_hand_example():
-    # Two experts, losses (1,0) then (0,1), learner always on expert 1.
-    led = cl.RegretLedger("fixed", np.array([1.0, 0.0]),
-                          np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-    assert cl.regret_of(led, 1) == 1.0
-    assert cl.regret_of(led, 2) == 0.0
-    with pytest.raises(cl.RangeError):
-        cl.regret_of(led, 3)
-    with pytest.raises(cl.RangeError):
-        cl.regret_of(led, 0)
-
 
 def test_ledger_columns_consistent():
     cfg = cl.ExperimentConfig("mset:6:2", ["hedge"], "universal",

@@ -503,13 +503,3 @@ def test_every_dag_learner_iterate_is_a_flow():
             assert res <= 1e-9
             assert policy.min() > 0  # interiority
 
-
-def test_best_in_hindsight_examples():
-    v, val = cl.best_in_hindsight(cl.MSet(4, 2),
-                                  [np.zeros(4), np.zeros(4)])
-    assert v.tolist() == [1.0, 1.0, 0.0, 0.0] and val == 0.0
-    losses = [np.array([1.5, 0.5, 1.0, 0.0]), np.array([1.5, 0.5, 1.0, 0.0])]
-    v, val = cl.best_in_hindsight(cl.MSet(4, 2), losses)
-    assert v.tolist() == [0.0, 1.0, 0.0, 1.0] and val == 1.0
-    with pytest.raises(cl.PreconditionError):
-        cl.best_in_hindsight(cl.MSet(4, 2), [])
