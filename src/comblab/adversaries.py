@@ -355,13 +355,18 @@ def layered_dag(d, n_paths):
             f"need 16 <= 2d <= N <= 2^d, got d={d}, N={n_paths}")
     d0 = 8 * (d // 8)
     n0 = min(n_paths, 2 ** (d0 // 4))
-    m = None
-    for cand in range(d0 // 8, 0, -1):
-        if d0 ** cand <= n0 * (2 * cand) ** cand:
-            m = cand
-            break
-    if m is None:
-        raise PreconditionError("no feasible layer count for these budgets")
+    # the most layers m <= d0 / 8 with (d0 / 2m) ** m <= n0, in exact
+    # integers.  m ln(d0 / 2m) increases while d0 / 2m > e, so the counts
+    # that fit are a prefix, found by bisection; m = 1 fits since
+    # n0 >= d0 / 2.
+    lo, hi = 1, d0 // 8
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if d0 ** mid <= n0 * (2 * mid) ** mid:
+            lo = mid
+        else:
+            hi = mid - 1
+    m = lo
     width = d0 // (2 * m)
     # spine vertices 0..m; middle vertex (i, j) sits between spine i-1 and i
     def mid(i, j):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapExceeded, PreconditionError, SolverFailure
 
@@ -216,12 +215,13 @@ class Dag:
         ``reduce`` is ``np.logaddexp``, ``np.minimum`` or ``np.maximum``; a
         vertex with no such path gets its zero.  Both run in one
         level-synchronous sweep: per level one gather, add, ``reduceat``
-        and scatter.
+        and scatter.  ``values`` of shape ``(n_edges, k)`` run ``k`` passes
+        at once, one per column, each bit for bit the pass of its column.
         """
         compiled, n = self.compiled, self.n_vertices
-        dist = np.full(2 * n, _SEMIRING_ZERO[reduce])
-        dist[[self.sink, n + self.source]] = 0.0
         w = np.asarray(values, dtype=float)[compiled.edge_order]
+        dist = np.full((2 * n,) + w.shape[1:], _SEMIRING_ZERO[reduce])
+        dist[[self.sink, n + self.source]] = 0.0
         reduceat = reduce.reduceat
         for lo, hi, gather, starts, scatter in compiled.levels:
             dist[scatter] = reduceat(w[lo:hi] + dist[gather], starts)
@@ -377,17 +377,22 @@ class DecisionSet:
 
     def dual_norm(self, z):
         """``max_x |<x, z>|`` over the vertices, via the variant's closed form."""
-        return abs(self._extreme_products(z)).max()
+        return self._dual_norms(np.asarray(z, dtype=float)[None])[0]
+
+    def _dual_norms(self, zs):
+        lo, hi = self._extreme_products(zs)
+        return np.maximum(abs(lo), abs(hi))
 
     def dual_witness(self, z):
         """A vertex achieving the dual norm: :meth:`best_vertex` of ``-z`` (a
         maximizer) if ``|max| >= |min|``, else of ``z``, with its ties."""
         z = np.asarray(z, dtype=float)
-        lo, hi = self._extreme_products(z)
+        (lo,), (hi,) = self._extreme_products(z[None])
         return self.best_vertex(-z if abs(hi) >= abs(lo) else z)[0]
 
-    def _extreme_products(self, z):
-        """(min, max) of ``<x, z>`` over vertices."""
+    def _extreme_products(self, zs):
+        """(min, max) of ``<x, z>`` over vertices, for each row ``z`` of the
+        ``(k, d)`` array ``zs``: two arrays of ``k`` entries."""
         raise NotImplementedError
 
     def validate_loss(self, y):
@@ -402,12 +407,27 @@ class DecisionSet:
             return LossCheck(True, float(value), None)
         return LossCheck(False, float(value), self.dual_witness(y))
 
+    def validate_losses(self, ys):
+        """:meth:`validate_loss` of every row of the ``(k, d)`` array ``ys``
+        in one pass, without witnesses: ``(ok, value)``, one entry per row."""
+        ys = np.asarray(ys, dtype=float)
+        finite = np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            ys = np.where(finite[:, None], ys, 0.0)
+        value = np.where(finite, self._dual_norms(ys), np.inf)
+        return value <= 1.0 + FEAS_TOL, value
+
     def best_vertex(self, cum_loss):
         """Exact minimizer of ``<x, cum_loss>`` with canonical tie-breaking.
 
         Returns ``(vertex, value)``.
         """
         raise NotImplementedError
+
+    def best_values(self, cum_losses):
+        """``best_vertex(row)[1]`` of every row of the ``(k, d)`` array
+        ``cum_losses``, bit for bit; closed forms batch it."""
+        return np.array([self.best_vertex(row)[1] for row in cum_losses])
 
 
 class ExplicitSet(DecisionSet):
@@ -432,9 +452,11 @@ class ExplicitSet(DecisionSet):
     def _vertices(self):
         return [v.copy() for v in self.vertices]
 
-    def _extreme_products(self, z):
-        prods = self.vertices @ np.asarray(z, dtype=float)
-        return np.array([prods.min(), prods.max()])
+    def _extreme_products(self, zs):
+        # a matrix-vector product per row: a matrix product rounds otherwise
+        prods = np.array([self.vertices @ z for z in zs]).reshape(
+            len(zs), self.count())
+        return prods.min(axis=1), prods.max(axis=1)
 
     def best_vertex(self, cum_loss):
         prods = self.vertices @ np.asarray(cum_loss, dtype=float)
@@ -467,9 +489,9 @@ class MSet(DecisionSet):
             out.append(x)
         return out
 
-    def _extreme_products(self, z):
-        z = np.sort(np.asarray(z, dtype=float))
-        return np.array([z[: self.m].sum(), z[-self.m:].sum()])
+    def _extreme_products(self, zs):
+        zs = np.sort(zs, axis=1)
+        return zs[:, :self.m].sum(axis=1), zs[:, -self.m:].sum(axis=1)
 
     def best_vertex(self, cum_loss):
         cum_loss = np.asarray(cum_loss, dtype=float)
@@ -478,6 +500,9 @@ class MSet(DecisionSet):
         x = np.zeros(self.dimension)
         x[chosen] = 1.0
         return x, float(cum_loss[chosen].sum())
+
+    def best_values(self, cum_losses):
+        return self._extreme_products(cum_losses)[0]
 
     @functools.cached_property
     def path_embedding(self):
@@ -513,11 +538,11 @@ class MultitaskSet(DecisionSet):
             out.append(x)
         return out
 
-    def _extreme_products(self, z):
-        z = np.asarray(z, dtype=float)
-        lo = sum(z[sl].min() for sl in self.block_slices)
-        hi = sum(z[sl].max() for sl in self.block_slices)
-        return np.array([lo, hi])
+    def _extreme_products(self, zs):
+        starts = [sl.start for sl in self.block_slices]
+        # block extremes summed left to right from 0, as best_vertex sums
+        return (sum(np.minimum.reduceat(zs, starts, axis=1).T),
+                sum(np.maximum.reduceat(zs, starts, axis=1).T))
 
     def best_vertex(self, cum_loss):
         cum_loss = np.asarray(cum_loss, dtype=float)
@@ -528,6 +553,9 @@ class MultitaskSet(DecisionSet):
             x[sl.start + j] = 1.0
             total += float(cum_loss[sl.start + j])
         return x, total
+
+    def best_values(self, cum_losses):
+        return self._extreme_products(cum_losses)[0]
 
     @functools.cached_property
     def path_embedding(self):
@@ -556,10 +584,12 @@ class DagPathSet(DecisionSet):
     def enumerate_vertices(self):
         return self.dag.enumerate_paths()
 
-    def _extreme_products(self, z):
-        _, lo = self.dag.semiring_pass(z, np.minimum)
-        _, hi = self.dag.semiring_pass(z, np.maximum)
-        return np.array([lo[self.dag.sink], hi[self.dag.sink]])
+    def _extreme_products(self, zs):
+        # one min-pass over the rows and their negations: max <x, z> is
+        # -min <x, -z>, exactly but for the sign of a zero
+        _, lo = self.dag.semiring_pass(np.vstack([zs, -zs]).T, np.minimum)
+        lo = lo[self.dag.sink]
+        return lo[:len(zs)], -lo[len(zs):]
 
     def best_vertex(self, cum_loss):
         x = self.dag.extreme_path(cum_loss)
@@ -597,6 +627,8 @@ def primal_norm_bruteforce(decision_set, z):
     Solved as an LP over the enumerated vertex constraints.  Test-time
     oracle only; the constraint matrix has two rows per vertex.
     """
+    from scipy.optimize import linprog  # about 0.3 s to import; only here
+
     z = np.asarray(z, dtype=float)
     vertices = decision_set.enumerate_vertices()
     mat = np.asarray(vertices)

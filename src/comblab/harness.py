@@ -419,10 +419,14 @@ def run_experiment(config, decision_set=None):
 
     In ``expected`` mode the learner is charged ``<policy, y>``; in
     ``sampled`` mode a vertex is drawn (expectation-matched to the policy)
-    and charged instead.  Best-in-hindsight is recomputed at every horizon
-    via the closed-form minimizers, so regret curves are exact.  Each loss
-    is checked once per round (:func:`check_loss`), before any learner
-    absorbs it.
+    and charged instead.  Losses are checked and scored per trial: before
+    round 1 the trial's T losses are stacked, checked in one batched
+    ``validate_losses`` and their running sums scored in one batched
+    ``best_values``, so regret curves are exact at every horizon.  A
+    running sum that is not finite raises :class:`PreconditionError`.  The
+    loop asks the stream for each round's loss again, and from the first
+    loss that fails the check it calls :func:`check_loss` on it, so that
+    error comes in its round, before any learner absorbs that loss.
 
     Hedge-family learners are additionally checked against the classical
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating
@@ -441,7 +445,6 @@ def run_experiment(config, decision_set=None):
         loss_hist = np.zeros((n, config.horizon))
         exp_loss_hist = np.zeros((n, config.horizon))
         cum_best = np.zeros(config.horizon)
-        total_loss_vec = np.zeros(dset.dimension)
         t = 0
         try:
             learners = [build_learner(spec, dset, config.horizon, config.eta)
@@ -452,9 +455,19 @@ def run_experiment(config, decision_set=None):
                                               learner_eta=learners[0].eta)
             stream = adv_factory(RngStream(config.seed, trial, 0))
             sample_rngs = [RngStream(config.seed, trial, 1 + i) for i in range(n)]
+            losses = []
             for t in range(1, config.horizon + 1):
-                y = stream.loss(t)
-                check_loss(dset, y)
+                losses.append(stream.loss(t))
+            n_ok, cum = _feasible_prefix(dset, losses)
+            overflow = ~np.isfinite(cum).all(axis=1)
+            if overflow.any():
+                t = int(np.argmax(overflow)) + 1
+                raise PreconditionError("the running loss sum is not finite")
+            cum_best[:n_ok] = dset.best_values(cum)
+            for t in range(1, config.horizon + 1):
+                y = stream.loss(t)  # again: perfbench's tracer reads t here
+                if t > n_ok:  # the first loss that fails: raises here
+                    check_loss(dset, y)
                 for i, learner in enumerate(learners):
                     policy = learner.propose()
                     expected = float(policy @ y)
@@ -465,8 +478,6 @@ def run_experiment(config, decision_set=None):
                         loss_hist[i, t - 1] = expected
                     exp_loss_hist[i, t - 1] = expected
                     learner.absorb(y)
-                total_loss_vec += y
-                cum_best[t - 1] = dset.best_vertex(total_loss_vec)[1]
         except ComblabError as err:
             err.args = (f"trial {trial}, round {t}: {err}",)
             err.trial, err.round = trial, t
@@ -500,6 +511,22 @@ def run_experiment(config, decision_set=None):
     if config.out:
         result.to_csv(config.out)
     return result
+
+
+def _feasible_prefix(dset, losses):
+    """``(n, cum)``: the number ``n`` of leading ``losses`` that pass
+    ``validate_loss``, checked in one batched pass, and their running sums
+    as an ``(n, d)`` array, row ``t - 1`` summing rounds 1 to ``t``."""
+    shape = (dset.dimension,)
+    n = next((i for i, y in enumerate(losses) if np.shape(y) != shape),
+             len(losses))
+    ys = np.array(losses[:n], dtype=float).reshape((n,) + shape)
+    ok, _ = dset.validate_losses(ys)
+    if not ok.all():
+        n = int(np.argmin(ok))
+    with np.errstate(over="ignore"):  # the caller rejects a sum past the range
+        # + 0.0 as a sum from zero: a -0.0 in the first loss becomes 0.0
+        return n, np.cumsum(ys[:n], axis=0) + 0.0
 
 
 # ---------------------------------------------------------------------------

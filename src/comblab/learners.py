@@ -26,7 +26,7 @@ import numpy as np
 from .domain import DagPathSet, MSet
 from .errors import PreconditionError, ValidationError
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_kkt_residual,
-                       sinkhorn_flow_projection)
+                       scipy_wrightomega, sinkhorn_flow_projection)
 from .regularizers import DilatedEntropy, uniform_path_flow
 from .sampling import sample_explicit, sample_mset, sample_path
 
@@ -113,8 +113,9 @@ class Learner:
         return self._policy_cache
 
     def absorb(self, y):
-        """Fold in the observed loss ``y``; the caller has checked it with
-        :func:`check_loss`, once for all learners of the round."""
+        """Fold in the observed loss ``y``; the caller has checked it, once
+        for all learners of the round (:func:`check_loss`, or a batched
+        ``validate_losses`` over the trial)."""
         self._absorb(np.asarray(y, dtype=float))
         self._policy_cache = None
 
@@ -244,6 +245,7 @@ class MSetOmd(Learner):
                                self.m / decision_set.dimension)
         self._lam = 0.0
         self._last = None
+        scipy_wrightomega()  # the step's import, paid here
 
     def _compute_policy(self):
         return self.iterate.copy()

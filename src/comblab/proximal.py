@@ -15,8 +15,9 @@
   potentials.
 """
 
+import functools
+
 import numpy as np
-from scipy.special import wrightomega
 
 from .domain import flow_residual
 from .errors import SolverFailure
@@ -45,10 +46,24 @@ _mset_prox_compiled = None  # perfbench/run.py reads it for the "backend" field
 # scalar equation sum x(lam) = m is solved by safeguarded Newton (or
 # bisection, kept as the reference mode).
 
+@functools.cache
+def scipy_wrightomega():
+    """``scipy.special.wrightomega``, imported on the first call.
+
+    scipy.special takes about 0.4 s to import and only the m-set step uses
+    it, so a run without that step does not load it.  :class:`MSetOmd`
+    calls this when it is built, so that building the learner pays for the
+    import, not its first step.
+    """
+    from scipy.special import wrightomega
+    return wrightomega
+
+
 def _solve_coords_numpy(t, m):
     """Solve 2x + (ln x + 1)/m = t per coordinate for t <= g(1); x <= 1."""
     two_m = 2.0 * m
-    return np.minimum(wrightomega(m * t + (np.log(two_m) - 1.0)) / two_m, 1.0)
+    return np.minimum(scipy_wrightomega()(m * t + (np.log(two_m) - 1.0))
+                      / two_m, 1.0)
 
 
 def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):

@@ -205,6 +205,30 @@ def test_layered_budgets_always_hold():
         assert meta["paths"] <= n
 
 
+def _layers_by_scan(d, n_paths):
+    """The layer count as a downward scan over every candidate finds it."""
+    d0 = 8 * (d // 8)
+    n0 = min(n_paths, 2 ** (d0 // 4))
+    return next(m for m in range(d0 // 8, 0, -1)
+                if d0 ** m <= n0 * (2 * m) ** m)
+
+
+def test_layer_count_bisection_equals_the_scan():
+    budgets = []
+    for d in range(8, 160, 5):
+        d0 = 8 * (d // 8)
+        paths = {2 * d, 2 * d + 1, 2 ** (d0 // 4), 2 ** d}
+        for m in range(1, d0 // 8 + 1):  # exact ties and one path off them
+            if d0 % (2 * m) == 0:
+                tie = (d0 // (2 * m)) ** m
+                paths |= {tie - 1, tie, tie + 1}
+        budgets += [(d, n) for n in sorted(paths) if 2 * d <= n <= 2 ** d]
+    assert len(budgets) > 300
+    for d, n_paths in budgets:
+        assert cl.layered_dag(d, n_paths)[2]["layers"] == _layers_by_scan(
+            d, n_paths), (d, n_paths)
+
+
 def test_layered_rejects_bad_budgets():
     with pytest.raises(cl.PreconditionError):
         cl.dag_hard_instance(4, 10, 8)  # 2d < 16

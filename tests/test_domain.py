@@ -5,7 +5,7 @@ import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                parallel_dag, random_feasible_loss,
                                random_layered_dag)
-from comblab.domain import mset_selection_dag
+from comblab.domain import FEAS_TOL, mset_selection_dag
 from comblab.sampling import RngStream
 
 
@@ -153,6 +153,69 @@ def test_validate_loss_path_weight():
 def test_validate_loss_tolerance_edge():
     report = cl.MSet(4, 2).validate_loss(np.array([0.5, 0.5, 0.5, 0.5 + 5e-10]))
     assert report.ok  # inside the 1e-9 feasibility slack
+
+
+def _batch_test_sets():
+    rng = RngStream(43, 0)
+    return [cl.MSet(8, 3), cl.MSet(24, 8), cl.MultitaskSet([2, 3, 4]),
+            cl.MultitaskSet([2, 3] * 5), cl.DagPathSet(diamond_dag()),
+            cl.DagPathSet(_skip_level_dag()),
+            cl.DagPathSet(random_layered_dag(rng, max_edges=20)),
+            hypercube_set(3)]
+
+
+def _rows_to_check(dset, gen):
+    """Losses on both sides of the unit bound, at 1 + FEAS_TOL and one ulp
+    either side of it, with ties, overflowing sums, NaN and inf."""
+    d = dset.dimension
+    edge = 1.0 + FEAS_TOL
+    rows = []
+    for value in (edge, np.nextafter(edge, 2.0), np.nextafter(edge, 0.0)):
+        for sign in (1.0, -1.0):
+            y = np.zeros(d)
+            y[d // 2] = sign * value  # the dual norm is exactly |value|
+            rows.append(y)
+    for scale in (0.5, 1.0, edge, 2.0):
+        for _ in range(8):
+            z = gen.standard_normal(d)
+            rows.append(scale * z / dset.dual_norm(z))
+    rows += [gen.integers(-1, 2, size=d) / 4.0 for _ in range(8)]
+    rows += [np.zeros(d), np.full(d, 1e308), np.resize([1e308, -1e308], d)]
+    for bad in (np.nan, np.inf, -np.inf):
+        y = gen.standard_normal(d) / (4 * d)
+        y[d - 1] = bad
+        rows.append(y)
+    return np.array(rows)
+
+
+def test_validate_losses_match_validate_loss_row_by_row():
+    gen = RngStream(44, 0).generator
+    for dset in _batch_test_sets():
+        rows = _rows_to_check(dset, gen)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, value = dset.validate_losses(rows)
+            reports = [dset.validate_loss(y) for y in rows]
+        assert ok.tolist() == [r.ok for r in reports]
+        assert value.tobytes() == np.array([r.value for r in reports]).tobytes()
+        assert ok[:6].tolist() == [True, True, False, False, True, True]
+        assert not ok[-3:].any() and np.all(value[-3:] == np.inf)
+        ok, value = dset.validate_losses(np.zeros((0, dset.dimension)))
+        assert ok.shape == value.shape == (0,)
+
+
+def test_best_values_match_best_vertex_bit_for_bit():
+    gen = RngStream(45, 0).generator
+    for dset in (cl.MSet(16, 8), cl.MSet(40, 12), cl.MultitaskSet([2, 3] * 5),
+                 cl.MultitaskSet([4] * 8), cl.DagPathSet(_skip_level_dag()),
+                 hypercube_set(3)):
+        d = dset.dimension
+        # small integers tie many coordinates; Gaussians round differently
+        # under each summation order
+        for ys in (gen.integers(-2, 3, size=(60, d)).astype(float),
+                   gen.standard_normal((60, d))):
+            cum = np.cumsum(ys, axis=0)
+            want = np.array([dset.best_vertex(row)[1] for row in cum])
+            assert dset.best_values(cum).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +387,18 @@ def test_semiring_pass_min_max_match_loops_bit_for_bit():
                                   _loop_extreme_path(dag, y, "min"))
             assert np.array_equal(dag.extreme_path(-y),
                                   _loop_extreme_path(dag, y, "max"))
+
+
+def test_semiring_pass_runs_columns_bit_for_bit():
+    gen = RngStream(46, 0).generator
+    for dag in _pass_test_dags():
+        ys = np.array(list(_losses_with_ties(dag, gen)))
+        for reduce in (np.minimum, np.maximum, np.logaddexp):
+            backward, forward = dag.semiring_pass(ys.T, reduce)
+            for k, y in enumerate(ys):
+                one_back, one_forward = dag.semiring_pass(y, reduce)
+                assert backward[:, k].tobytes() == one_back.tobytes()
+                assert forward[:, k].tobytes() == one_forward.tobytes()
 
 
 def test_extreme_path_rejects_a_nan_path_weight():

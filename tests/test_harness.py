@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -281,23 +284,131 @@ def test_wrong_length_loss_fails_validation_before_absorb(monkeypatch,
 
 
 def test_each_loss_is_validated_once_per_round(monkeypatch):
-    calls = []
+    # a trial checks its T losses in one batched pass, before any absorb
+    events = []
+    validate_losses = cl.DecisionSet.validate_losses
     validate = cl.DecisionSet.validate_loss
+    absorb = cl.learners.Learner.absorb
 
-    def counting(self, y, *args, **kwargs):
-        calls.append(1)
-        return validate(self, y, *args, **kwargs)
+    def counting_rows(self, ys):
+        events.append(len(ys))
+        return validate_losses(self, ys)
 
+    def counting(self, y):
+        events.append(1)
+        return validate(self, y)
+
+    def absorbing(self, y):
+        events.append("absorb")
+        return absorb(self, y)
+
+    monkeypatch.setattr(cl.DecisionSet, "validate_losses", counting_rows)
     monkeypatch.setattr(cl.DecisionSet, "validate_loss", counting)
+    monkeypatch.setattr(cl.learners.Learner, "absorb", absorbing)
     cfg = cl.ExperimentConfig("mset:6:2", ["hedge", "omd-mset"], "mset-lb",
                               horizon=15, trials=2)
     cl.run_experiment(cfg)
-    assert len(calls) == 2 * 15
-    calls.clear()
+    assert events == 2 * ([15] + ["absorb"] * 2 * 15)
+    events.clear()
     dag = diamond_dag()
     stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 20, RngStream(6, 0))
     cl.check_iterate_equivalence(dag, stream, 0.3, 20)
-    assert len(calls) == 20
+    assert events.count(1) == 20 and events.count("absorb") == 40
+
+
+@pytest.mark.parametrize("bad_round", [1, 3])
+def test_a_bad_loss_fails_in_its_round(monkeypatch, bad_round):
+    class BadAt:  # feasible zeros, but for one round
+        def __init__(self, dim, bad):
+            self.dim, self.bad = dim, bad
+
+        def loss(self, t):
+            return self.bad.copy() if t == bad_round else np.zeros(self.dim)
+
+    absorbed = []
+    monkeypatch.setattr(cl.learners.Learner, "absorb",
+                        lambda self, y: absorbed.append(len(y)))
+    for dset in (cl.MSet(8, 2), cl.MultitaskSet([2, 3]),
+                 cl.DagPathSet(diamond_dag()), cl.instances.hypercube_set(3)):
+        dim = dset.dimension
+        nan = np.zeros(dim)
+        nan[1] = np.nan
+        for bad, message in (
+                (np.zeros(dim + 1), f"loss vector has {dim + 1} entries, "
+                                    f"the decision set {dim}"),
+                (np.full(dim, 2.0), "loss vector with action-loss"),
+                (nan, "loss vector with action-loss inf")):
+            monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
+                lambda rng: BadAt(dim, bad)))
+            absorbed.clear()
+            cfg = cl.ExperimentConfig("set", ["hedge"], "constant:zero",
+                                      horizon=5, trials=2)
+            with pytest.raises(cl.ValidationError,
+                               match=f"trial 0, round {bad_round}: {message}"):
+                cl.run_experiment(cfg, decision_set=dset)
+            assert absorbed == [dim] * (bad_round - 1)
+
+
+def test_a_stream_error_keeps_its_round_and_comes_before_any_absorb(
+        monkeypatch):
+    class Failing:
+        def loss(self, t):
+            if t == 3:
+                raise cl.PreconditionError("no loss for this round")
+            return np.zeros(8)
+
+    absorbed = []
+    monkeypatch.setattr(hz, "build_adversary",
+                        lambda *a, **k: (lambda rng: Failing()))
+    monkeypatch.setattr(cl.learners.Learner, "absorb",
+                        lambda self, y: absorbed.append(len(y)))
+    cfg = cl.ExperimentConfig("mset:8:2", ["hedge"], "constant:zero",
+                              horizon=5)
+    with pytest.raises(cl.PreconditionError,
+                       match="trial 0, round 3: no loss for this round") as info:
+        cl.run_experiment(cfg)
+    assert (info.value.trial, info.value.round) == (0, 3) and absorbed == []
+
+
+def test_an_overflowing_running_sum_fails_in_one_line(tmp_path, capsys):
+    # feasible losses whose running sum holds +inf and -inf from round 2;
+    # m-set losses cannot overflow: every entry lies within [-3, 3]
+    explicit = tmp_path / "pairs.txt"
+    explicit.write_text("1100\n0011\n")
+    chain = tmp_path / "chain.dag"
+    chain.write_text("dag 3 2 0 2\n0 1\n1 2\n")
+    for set_spec, learner, vector in (
+            ("multitask:2,2", "hedge", "1e308 1e308 -1e308 -1e308"),
+            (f"explicit:{explicit}", "hedge", "1e308 -1e308 1e308 -1e308"),
+            (f"dag:{chain}", "hedge:eta=0.1", "1e308 -1e308")):
+        lossfile = tmp_path / "loss.txt"
+        lossfile.write_text(vector + "\n")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"set={set_spec}\nlearner={learner}\n"
+                           f"adversary=constant:{lossfile}\nT=3\n")
+        assert cli_main(["run", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("comblab: PreconditionError: trial 0, round 2: "
+                                "the running loss sum is not finite\n")
+
+
+def test_scipy_loads_only_where_it_is_used():
+    code = (
+        "import sys\n"
+        "import comblab as cl\n"
+        "spec = 'dag-layered:16:32'\n"
+        "cl.run_experiment(cl.ExperimentConfig(spec, ['hedge-dag', "
+        "'omd-dilated:numeric=1', 'omd-entropy-dag'], spec, horizon=5))\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "cl.build_learner('omd-mset', cl.MSet(8, 2), 5)\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.optimize' not in sys.modules\n")
+    src = str(pathlib.Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_reports_an_error_in_one_line(tmp_path, capsys):
