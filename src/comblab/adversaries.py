@@ -327,11 +327,10 @@ class GaussianFeasibleStream(LossStream):
             raise PreconditionError("scale must lie in (0, 1]")
         gen = rng.generator
         raw = gen.standard_normal((horizon, self.dimension))
+        norms = decision_set._dual_norms(raw)
+        scaled = norms > 0
         self._losses = np.zeros_like(raw)
-        for t in range(horizon):
-            norm = decision_set.dual_norm(raw[t])
-            if norm > 0:
-                self._losses[t] = scale * raw[t] / norm
+        self._losses[scaled] = scale * raw[scaled] / norms[scaled, None]
 
     def loss(self, t):
         self._check_round(t)

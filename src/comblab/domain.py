@@ -153,27 +153,84 @@ class Dag:
 
     def extreme_path(self, y):
         """A shortest s-t path under edge weights ``y``, as an edge
-        indicator (a longest one under ``-y``).
+        indicator (a longest one under ``-y``): the row of
+        :meth:`extreme_paths`."""
+        return self.extreme_paths(np.asarray(y, dtype=float)[None])[0]
+
+    def extreme_paths(self, ys):
+        """A shortest s-t path under each row of the ``(k, n_edges)``
+        weights ``ys``, as the rows of a ``(k, n_edges)`` edge indicator.
 
         Ties are broken toward the lowest edge index at each divergence, so
-        the result is the first optimal path in enumeration order.  Each
-        ``best[u]`` is one of the sums ``y[e] + best[v]`` that the walk
-        compares it with, so some out-edge matches unless the weight is NaN.
+        each result is the first optimal path in enumeration order.  One
+        ``semiring_pass`` gives every row's ``best`` to the sink.  Each
+        vertex ``u`` of each row is left by its lowest out-edge ``e = (u,
+        v)`` with ``y[e] + best[v] == best[u]``, found for all vertices at
+        once, one argmax per out-degree group of ``draw_layout``; then all
+        rows walk from the source together, one hop per step.  Each
+        ``best[u]`` is one of the sums compared with it, so some out-edge
+        matches unless the weight is NaN.
         """
-        y = np.asarray(y, dtype=float)
-        best, _ = self.semiring_pass(y, np.minimum)
-        if np.isnan(best[self.source]):  # +inf and -inf on one path
+        ys = np.asarray(ys, dtype=float)
+        best = self.semiring_pass(ys.T, np.minimum)[0].T
+        if np.isnan(best[:, self.source]).any():  # +inf and -inf on one path
             raise PreconditionError("s-t path weight is NaN")
-        x = np.zeros(self.n_edges)
-        u = self.source
-        while u != self.sink:
-            for e in self.out_edges[u]:
-                v = self.edges[e][1]
-                if y[e] + best[v] == best[u]:
-                    x[e] = 1.0
-                    u = v
-                    break
-        return x
+        tails, heads = self.compiled.tails, self.compiled.heads
+        tight = ys + best[:, heads] == best[:, tails]
+        groups, (ones, one_edge), *_ = self.draw_layout
+        # edge n_edges is a stop, taken at the sink and at any dead end
+        leave = np.full((len(ys), self.n_vertices), self.n_edges)
+        leave[:, ones] = one_edge
+        for verts, edges in groups:
+            first = tight[:, edges].argmax(axis=2)
+            leave[:, verts] = edges[np.arange(len(verts)), first]
+        leave[:, self.sink] = self.n_edges
+        head = np.append(heads, self.sink)
+        x = np.zeros((len(ys), self.n_edges + 1))
+        rows, u = np.arange(len(ys)), np.full(len(ys), self.source)
+        for _ in range(max(self._kahn_levels[1])):  # the most hops a path has
+            e = leave[rows, u]
+            x[rows, e] = 1.0
+            u = head[e]
+        return x[:, :-1]
+
+    @functools.cached_property
+    def draw_layout(self):
+        """The out-stars grouped by out-degree, for ``sample_path`` and
+        ``extreme_paths``: ``(groups, singles, lo, hi, edge_at, head_at,
+        dead_ends)``.
+
+        ``groups`` holds ``(vertices, edges)`` per out-degree ``k >= 2``,
+        smallest first: the vertices of that degree and their out-edges, a
+        ``(len(vertices), k)`` array in edge order.  Their rows fill the
+        first slots in turn, one slot per edge, and each vertex of
+        out-degree 1 takes one slot after them; ``singles`` is ``(vertices,
+        edges)`` of those.  ``edge_at`` and ``head_at`` give each slot's
+        edge and its head.  With the rows' CDFs laid out flat, vertex ``u``
+        leaves by the slot ``bisect_right(cdf, r, lo[u], hi[u])`` of a
+        uniform ``r`` in [0, 1), with ``hi[u] = lo[u] + k - 1``: the last
+        entry of a row's CDF is 1, above any ``r``, so it is never read,
+        and a vertex of out-degree 1 reads none.  ``dead_ends`` are the
+        vertices other than the sink with no out-edge.
+        """
+        n = self.n_vertices
+        degree = [len(ix) for ix in self.out_edges]
+        lo, hi, edge_at, groups = [0] * n, [0] * n, [], []
+        for k in [*sorted(set(degree) - {0, 1}), 1]:  # out-degree 1 last
+            verts = [u for u in range(n) if degree[u] == k]
+            start = len(edge_at)
+            for u in verts:
+                lo[u], hi[u] = len(edge_at), len(edge_at) + k - 1
+                edge_at += self.out_edges[u].tolist()
+            verts = np.array(verts, dtype=np.intp)
+            edges = np.array(edge_at[start:], dtype=np.intp).reshape(-1, k)
+            if k > 1:
+                groups.append((verts, edges))
+        heads = [v for _, v in self.edges]
+        dead_ends = frozenset(u for u in range(n)
+                              if degree[u] == 0 and u != self.sink)
+        return (groups, (verts, edges[:, 0]), lo, hi, edge_at,
+                [heads[e] for e in edge_at], dead_ends)
 
     @functools.cached_property
     def compiled(self):
@@ -594,6 +651,12 @@ class DagPathSet(DecisionSet):
     def best_vertex(self, cum_loss):
         x = self.dag.extreme_path(cum_loss)
         return x, float(x @ np.asarray(cum_loss, dtype=float))
+
+    def best_values(self, cum_losses):
+        # one batched walk; each value is the 1-D dot that best_vertex takes
+        cum_losses = np.asarray(cum_losses, dtype=float)
+        paths = self.dag.extreme_paths(cum_losses)
+        return np.array([float(x @ c) for x, c in zip(paths, cum_losses)])
 
 
 def mset_selection_dag(d, m):

@@ -418,11 +418,13 @@ def run_experiment(config, decision_set=None):
     """Run the predict-observe loop for every (trial, learner).
 
     In ``expected`` mode the learner is charged ``<policy, y>``; in
-    ``sampled`` mode a vertex is drawn (expectation-matched to the policy)
-    and charged instead.  Losses are checked and scored per trial: before
-    round 1 the trial's T losses are stacked, checked in one batched
-    ``validate_losses`` and their running sums scored in one batched
-    ``best_values``, so regret curves are exact at every horizon.  A
+    ``sampled`` mode a vertex is drawn (expectation-matched to the policy,
+    on DAG paths by ``sample_path``) and charged instead.  Losses are
+    checked and scored per trial: before round 1 the trial's T losses are
+    stacked, checked in one batched ``validate_losses`` and their running
+    sums scored in one batched ``best_values`` (on DAG sets one
+    shortest-path pass and one walk for every prefix), so regret curves
+    are exact at every horizon.  A
     running sum that is not finite raises :class:`PreconditionError`.  The
     loop asks the stream for each round's loss again, and from the first
     loss that fails the check it calls :func:`check_loss` on it, so that

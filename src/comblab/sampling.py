@@ -6,9 +6,15 @@ Randomness flows through :class:`RngStream`, a counter-based generator that
 is fully determined by its key, so identical keys reproduce identical draws.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import DegenerateVertex, PreconditionError
+
+
+#: A vertex whose out-edges carry at most this much flow has none.
+_NO_FLOW = 1e-12
 
 
 class RngStream:
@@ -39,7 +45,10 @@ def sample_path(dag, flow, rng):
     ``e`` with probability ``flow[e] / flow[u]``.
 
     The returned indicator vector has expectation exactly ``flow`` whenever
-    ``flow`` is a unit s-t flow.  Each vertex's draw is the one
+    ``flow`` is a unit s-t flow.  Each call builds one CDF table: the CDF
+    of every branching vertex, one row pass per out-degree
+    (``Dag.draw_layout``).  The walk then takes one uniform and one binary
+    search per hop.  Each vertex's draw is still the one
     ``Generator.choice(len(out), p=...)`` makes (cumulative sum, one
     uniform, binary search), so paths and the generator state afterwards
     match it bit for bit, without its per-call checks.
@@ -60,24 +69,39 @@ def sample_path(dag, flow, rng):
     with no outgoing flow.
     """
     flow = np.asarray(flow, dtype=float)
-    if not np.all(np.isfinite(flow)) or flow.min(initial=0.0) < 0.0:
+    lowest = flow.min(initial=np.inf)  # NaN if any entry is
+    if not (lowest >= 0.0 and flow.max(initial=0.0) < np.inf):
         raise PreconditionError("flow must be finite and non-negative")
-    out_edges, heads, sink = dag.out_edges, dag.compiled.heads, dag.sink
+    groups, singles, lo, hi, edge_at, head_at, dead = dag.draw_layout
+    thin = lowest <= _NO_FLOW  # only then can a vertex lack outflow
+    if thin:
+        verts, edges = singles
+        dead = dead.union(verts[flow[edges] <= _NO_FLOW].tolist())
+    cdf = []
+    for verts, edges in groups:
+        mass = flow[edges]
+        total = np.add.reduce(mass, axis=1, keepdims=True)
+        if thin:
+            empty = total[:, 0] <= _NO_FLOW
+            dead = dead.union(verts[empty].tolist())
+            # such a row is never read; 1 / 1 in place of 0 / 0 keeps it quiet
+            total = np.where(empty[:, None], 1.0, total)
+            mass = np.where(empty[:, None], 1.0, mass)
+        # gen.choice(k, p=mass / total) row by row, minus its checks
+        rows = np.add.accumulate(mass / total, axis=1)  # its cumsum
+        rows /= rows[:, -1:]
+        cdf += rows.ravel().tolist()
     uniform = rng.generator.random
-    x = np.zeros(dag.n_edges)
-    u = dag.source
+    path = []
+    u, sink = dag.source, dag.sink
     while u != sink:
-        out = out_edges[u]
-        mass = flow[out]
-        total = np.add.reduce(mass)
-        if total <= 1e-12:
+        if u in dead:
             raise DegenerateVertex(f"no outgoing flow at vertex {u}")
-        # gen.choice(len(out), p=mass / total), step for step, minus its checks
-        cdf = (mass / total).cumsum()
-        cdf /= cdf[-1]
-        e = out[cdf.searchsorted(uniform(), side="right")]
-        x[e] = 1.0
-        u = int(heads[e])
+        slot = bisect_right(cdf, uniform(), lo[u], hi[u])
+        path.append(edge_at[slot])
+        u = head_at[slot]
+    x = np.zeros(dag.n_edges)
+    x[path] = 1.0
     return x
 
 

@@ -290,3 +290,27 @@ def test_largest_remainder_sums_and_proportions():
     assert out.sum() == 10 and sorted(out.tolist()) == [3, 3, 4]
     out = cl.adversaries.largest_remainder(90, [math.log(2), math.log(4)])
     assert out.tolist() == [30, 60]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian feasible stream
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: hypercube_set(3), lambda: cl.build_set("mset:32:8"),
+    lambda: cl.build_set("multitask:3,5,4"),
+    lambda: cl.build_set("dag-layered:64:4096")],
+    ids=["explicit", "mset", "multitask", "dag"])
+def test_gaussian_stream_scales_rows_as_the_per_row_loop(make):
+    # one batched dual norm scales every row, byte for byte as one
+    # dual_norm call per row did
+    dset = make()
+    stream = cl.GaussianFeasibleStream(dset, 300, RngStream(47, 0), scale=0.7)
+    raw = RngStream(47, 0).generator.standard_normal((300, dset.dimension))
+    want = np.zeros_like(raw)
+    for t in range(300):
+        norm = dset.dual_norm(raw[t])
+        if norm > 0:
+            want[t] = 0.7 * raw[t] / norm
+    got = np.array([stream.loss(t) for t in range(1, 301)])
+    assert got.tobytes() == want.tobytes()

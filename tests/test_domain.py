@@ -205,14 +205,17 @@ def test_validate_losses_match_validate_loss_row_by_row():
 
 def test_best_values_match_best_vertex_bit_for_bit():
     gen = RngStream(45, 0).generator
-    for dset in (cl.MSet(16, 8), cl.MSet(40, 12), cl.MultitaskSet([2, 3] * 5),
-                 cl.MultitaskSet([4] * 8), cl.DagPathSet(_skip_level_dag()),
-                 hypercube_set(3)):
+    for dset, rounds in ((cl.MSet(16, 8), 60), (cl.MSet(40, 12), 60),
+                         (cl.MultitaskSet([2, 3] * 5), 60),
+                         (cl.MultitaskSet([4] * 8), 60),
+                         (cl.DagPathSet(_skip_level_dag()), 60),
+                         (cl.build_set("dag-layered:64:4096"), 512),
+                         (hypercube_set(3), 60)):
         d = dset.dimension
         # small integers tie many coordinates; Gaussians round differently
         # under each summation order
-        for ys in (gen.integers(-2, 3, size=(60, d)).astype(float),
-                   gen.standard_normal((60, d))):
+        for ys in (gen.integers(-2, 3, size=(rounds, d)).astype(float),
+                   gen.standard_normal((rounds, d))):
             cum = np.cumsum(ys, axis=0)
             want = np.array([dset.best_vertex(row)[1] for row in cum])
             assert dset.best_values(cum).tobytes() == want.tobytes()
@@ -399,6 +402,24 @@ def test_semiring_pass_runs_columns_bit_for_bit():
                 one_back, one_forward = dag.semiring_pass(y, reduce)
                 assert backward[:, k].tobytes() == one_back.tobytes()
                 assert forward[:, k].tobytes() == one_forward.tobytes()
+
+
+def test_extreme_paths_match_the_loop_row_by_row():
+    gen = RngStream(49, 0).generator
+    for dag in _pass_test_dags():
+        rows = list(_losses_with_ties(dag, gen))
+        for inf in (np.inf, -np.inf):  # one sign per row: no inf - inf
+            for _ in range(3):
+                y = gen.integers(-2, 3, size=dag.n_edges).astype(float)
+                y[gen.random(dag.n_edges) < 0.3] = inf
+                rows.append(y)
+        ys = np.array(rows)
+        for sign, mode in ((1.0, "min"), (-1.0, "max")):
+            paths = dag.extreme_paths(sign * ys)
+            assert paths.shape == ys.shape
+            for x, y in zip(paths, ys):
+                assert np.array_equal(x, _loop_extreme_path(dag, y, mode))
+        assert dag.extreme_paths(ys[:0]).shape == (0, dag.n_edges)
 
 
 def test_extreme_path_rejects_a_nan_path_weight():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,20 +93,56 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("spec", ["dag-layered:64:4096", "dag-layered:16:32",
-                                  "mset:16:4"])
-def test_sample_path_draws_as_generator_choice(spec):
+_DRAW_SPECS = ["dag-layered:64:4096", "dag-layered:16:32", "mset:16:4",
+               "multitask:12,20", "dag-layered:256:65536"]
+
+
+@pytest.mark.parametrize("spec, cut", [
+    *(pytest.param(spec, False, id=spec) for spec in _DRAW_SPECS),
+    *(pytest.param(spec, True, id=f"{spec}-cut") for spec in _DRAW_SPECS)])
+def test_sample_path_draws_as_generator_choice(spec, cut):
     # Pins the draw against numpy's own choice: should numpy change how
     # choice draws, this fails instead of sampled CSVs moving silently.
+    # Fan-outs of 12, 20 and 64 sum pairwise, not left to right; a cut
+    # flow has zero-flow branches and vertices that no path reaches.
     dag = cl.build_set(spec).path_embedding[0]
-    flow = weight_pushing_marginals(
-        dag, RngStream(44, 0).generator.standard_normal(dag.n_edges))
+    gen = RngStream(44, 0).generator
+    log_w = gen.standard_normal(dag.n_edges)
+    if cut:  # off the first path, so that one path keeps its weight
+        off = dag.extreme_path(np.zeros(dag.n_edges)) == 0.0
+        log_w[off & (gen.random(dag.n_edges) < 0.3)] = -np.inf
+    flow = weight_pushing_marginals(dag, log_w)
+    assert np.all(np.isfinite(flow)) and (flow == 0.0).any() == cut
     ours, theirs = RngStream(44, 1), RngStream(44, 1)
     for _ in range(2000):
         assert np.array_equal(sample_path(dag, flow, ours),
                               _choice_walk(dag, flow, theirs.generator))
     assert _same_state(ours.generator.bit_generator.state,
                        theirs.generator.bit_generator.state)
+
+
+def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
+    # vertex 1 branches to the sink twice, vertex 2 likewise, vertex 4 has
+    # one edge; a vertex that no draw reaches may carry no flow at all
+    dag = cl.Dag(5, [(0, 1), (0, 2), (1, 3), (1, 3), (2, 3), (2, 3),
+                     (0, 4), (4, 3)], 0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0 / 0 in an unread row would warn
+        rng = RngStream(48, 0)
+        flow = np.array([1.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+        for _ in range(200):
+            assert np.flatnonzero(sample_path(dag, flow, rng))[0] == 0
+        for flow, vertex in (([1.0, 0, 0, 0, 0, 0, 0, 0], 1),
+                             ([0, 1.0, 0.5, 0.5, 0, 0, 0, 0], 2),
+                             ([0, 0, 0.5, 0.5, 0, 0, 1.0, 0], 4)):
+            rng = RngStream(48, 1)
+            with pytest.raises(cl.DegenerateVertex, match=f"vertex {vertex}$"):
+                sample_path(dag, np.array(flow), rng)
+            # the source's draw was made, the vertex's own was not
+            drawn = RngStream(48, 1).generator
+            drawn.random()
+            assert _same_state(rng.generator.bit_generator.state,
+                               drawn.bit_generator.state)
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
