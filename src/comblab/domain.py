@@ -659,6 +659,77 @@ class DagPathSet(DecisionSet):
         return np.array([float(x @ c) for x, c in zip(paths, cum_losses)])
 
 
+class SelectionDag(Dag):
+    """The select/skip DAG of :func:`mset_selection_dag`, whose pass runs
+    along the cardinality axis.
+
+    Its vertices are the cells ``(j, k)`` of an ``(m + 1, d - m + 1)`` grid:
+    ``j`` coordinates selected after ``i = j + k`` of them were seen.  When
+    every skip edge's value is 0 (of either sign), the forward DP of row
+    ``j`` is one running ``reduce`` over ``k`` of row ``j - 1`` plus the
+    select values into it; the backward DP is the same recurrence on the
+    grid turned end for end.  So the pass is ``m`` steps, not ``d`` levels.
+    """
+
+    def __init__(self, d, m):
+        states = [(i, j) for i in range(d + 1)
+                  for j in range(max(0, m - (d - i)), min(i, m) + 1)]
+        vid = {state: k for k, state in enumerate(states)}
+        edges, coord = [], []
+        for i, j in states:
+            for nxt, c in (((i + 1, j), -1), ((i + 1, j + 1), i)):
+                if nxt in vid:
+                    edges.append((vid[(i, j)], vid[nxt]))
+                    coord.append(c)
+        super().__init__(len(vid), edges, vid[(0, 0)], vid[(d, m)])
+        self.d, self.m = d, m
+        self.coordinate = np.array(coord, dtype=int)
+
+    @functools.cached_property
+    def _grid(self):
+        """``(skips, selects, cells)``, built on the first pass.  ``skips``
+        lists the skip edges.  The pass fills an ``(m + 1, 2, d - m + 1)``
+        table: row ``j`` holds the forward DP of the grid's row ``j`` and
+        the backward DP of its row ``m - j``, read from the end.
+        ``selects[j]`` gives the select edges whose values enter the two
+        halves of row ``j + 1``, and ``cells`` the flat table entry of every
+        vertex's backward, then forward, value."""
+        d, m = self.d, self.m
+        i = np.arange(d + 1)
+        first = np.maximum(0, m - d + i)  # the lowest j at level i
+        start = np.concatenate([[0], np.cumsum(np.minimum(i, m) - first + 1)])
+        j, k = np.ogrid[:m + 1, :d - m + 1]
+        vertex = start[j + k] + j - first[j + k]  # the vertex of cell (j, k)
+        out = np.array([ix[-1] for ix in self.out_edges[:self.sink]])
+        select = out[vertex[:-1]]  # a select edge is the last out-edge
+        entry = np.arange(vertex.size).reshape(vertex.shape) + j * vertex.shape[1]
+        cells = np.empty((2, self.n_vertices), dtype=np.intp)
+        cells[0, vertex[::-1, ::-1]] = entry + vertex.shape[1]  # backward
+        cells[1, vertex] = entry                                 # forward
+        return (np.flatnonzero(self.coordinate < 0),
+                np.stack([select, select[::-1, ::-1]], axis=1),
+                cells.reshape(-1))
+
+    def semiring_pass(self, values, reduce):
+        """:meth:`Dag.semiring_pass`, bit for bit, in ``m`` steps of one
+        add and one ``reduce.accumulate`` over the stacked forward and
+        backward rows.  The running reduce takes each pair in the other
+        order than the level pass does; ``logaddexp``, ``minimum`` and
+        ``maximum`` are commutative bit for bit, and no table entry is a
+        zero of negative sign, so adding a skip value of 0 changes none.
+        Other skip values take the level pass."""
+        skips, selects, cells = self._grid
+        values = np.asarray(values, dtype=float)
+        if np.count_nonzero(values[skips]):
+            return super().semiring_pass(values, reduce)
+        w = values[selects]
+        table = np.zeros((self.m + 1,) + w.shape[1:])
+        for j in range(self.m):
+            reduce.accumulate(table[j] + w[j], axis=1, out=table[j + 1])
+        dist = table.reshape((-1,) + w.shape[3:])[cells]
+        return dist[:self.n_vertices], dist[self.n_vertices:]
+
+
 def mset_selection_dag(d, m):
     """Select/skip DAG whose s-t paths are in bijection with m-subsets of d.
 
@@ -666,18 +737,8 @@ def mset_selection_dag(d, m):
     edge from level i taken upward carries coordinate i.  Returns
     ``(dag, coordinate_of_edge)`` with -1 marking skip edges.
     """
-    states = [(i, j) for i in range(d + 1)
-              for j in range(max(0, m - (d - i)), min(i, m) + 1)]
-    vid = {state: k for k, state in enumerate(states)}
-    edges = []
-    coord = []
-    for i, j in states:
-        for nxt, c in (((i + 1, j), -1), ((i + 1, j + 1), i)):
-            if nxt in vid:
-                edges.append((vid[(i, j)], vid[nxt]))
-                coord.append(c)
-    dag = Dag(len(vid), edges, vid[(0, 0)], vid[(d, m)])
-    return dag, np.array(coord, dtype=int)
+    dag = SelectionDag(d, m)
+    return dag, dag.coordinate
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ bundles) and DAG path sets all have vertices that are the s-t paths of a
 DAG, with path losses equal to vertex losses (``path_embedding``).  Hedge
 over them is one learner, :class:`PathHedge`: weight pushing with one
 log-sum-exp :meth:`Dag.semiring_pass` over the graph's topological levels,
-O(|E|) work in O(levels) numpy calls per round.  Mirror descent with
+O(|E|) work in O(levels) numpy calls per round.  On m-sets the
+:class:`SelectionDag` runs that pass along the cardinality axis instead, in
+O(m) numpy calls.  Mirror descent with
 dilated entropy has the same iterates, so the ``omd-dilated`` spec runs it
 too; :class:`DilatedOmd` is the numeric KKT route kept to certify that.
 Other sets use :class:`ExplicitHedge`, one weight per enumerated vertex.
@@ -182,7 +184,8 @@ class PathHedge(Learner):
     weights over paths are Hedge over the set.  The learner keeps one
     cumulative loss per edge; each round's policy is the coordinate sum of
     the edge marginals of one weight-pushing pass, so a round costs O(|E|)
-    work in O(levels) numpy calls however many vertices the set has.
+    work in O(levels) numpy calls however many vertices the set has; on an
+    m-set, O(m) numpy calls (:meth:`SelectionDag.semiring_pass`).
     """
 
     name = "hedge"

@@ -16,6 +16,7 @@
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -41,10 +42,21 @@ _mset_prox_compiled = None  # perfbench/run.py reads it for the "backend" field
 # clipped at the box: x_i = 1 whenever c_i - lam >= g(1).  Coordinates never
 # reach 0 because g -> -inf there (in floating point they may underflow).
 # The per-coordinate equation g(x) = t has a closed form: with w = 2m x it
-# reads  w + ln w = m t - 1 + ln(2m),  so  w = omega(m t - 1 + ln(2m))  with
-# omega the Wright omega function (Corless & Jeffrey, 2002).  The outer
-# scalar equation sum x(lam) = m is solved by safeguarded Newton (or
-# bisection, kept as the reference mode).
+# reads  w + ln w = m t - 1 + ln(2m),  so  w = omega(u)  with omega the
+# Wright omega function (Corless & Jeffrey, 2002).  The step iterates in
+#     u_i = m (c_i - lam) - 1 + ln(2m) = a_i - m lam,
+#     a_i = 2m x_old_i + ln x_old_i - m step_i + ln(2m),
+# formed once per call; the box cap x_i = 1 is u_i >= 2m + ln(2m), where
+# omega is 2m.  The outer scalar equation s(lam) = sum x(lam) - m = 0 is
+# solved by safeguarded Halley steps (or bisection, kept as the reference
+# mode).  omega's own output gives both derivatives: omega' = w / (1 + w),
+# so over the uncapped coordinates
+#     s'(lam) = -1/2 sum w / (1 + w),   s''(lam) = m/2 sum w / (1 + w)^3,
+# and a Halley step whose denominator 2 s'^2 - s s'' is not positive falls
+# back to Newton.  Every step stays in [lam_min, lam_max], beyond which all
+# coordinates lie on one side of their mean, so the root lies inside:
+# where every coordinate is capped or underflowed, s' = 0 and the step
+# goes to that bound, then halves the bracket.
 
 @functools.cache
 def scipy_wrightomega():
@@ -59,11 +71,12 @@ def scipy_wrightomega():
     return wrightomega
 
 
-def _solve_coords_numpy(t, m):
-    """Solve 2x + (ln x + 1)/m = t per coordinate for t <= g(1); x <= 1."""
-    two_m = 2.0 * m
-    return np.minimum(scipy_wrightomega()(m * t + (np.log(two_m) - 1.0))
-                      / two_m, 1.0)
+def _omega_coords(u, m):
+    """``(x, w)`` with ``w = omega(u)`` and ``x = min(w / 2m, 1)``: each
+    coordinate's solution of ``2m x + ln(2m x) = u``, for ``u`` at most
+    the cap ``2m + ln(2m)``."""
+    w = scipy_wrightomega()(u)
+    return np.minimum(w / (2.0 * m), 1.0), w
 
 
 def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
@@ -75,7 +88,8 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
     step : learning-rate-scaled loss vector (eta * y).
     m : cardinality of the set.
     lam_init : warm start for the scalar dual variable.
-    method : "newton" (safeguarded) or "bisect" (pure bisection reference).
+    method : "newton" (safeguarded Halley steps, Newton where Halley's
+        denominator is not positive) or "bisect" (pure bisection reference).
 
     Returns
     -------
@@ -84,14 +98,24 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
     """
     x_old = np.asarray(x_old, dtype=float)
     step = np.asarray(step, dtype=float)
-    c = 2.0 * x_old + (np.log(x_old) + 1.0) / m - step
-    g_at_one = 2.0 + 1.0 / m
+    two_m = 2.0 * m
+    log_two_m = math.log(two_m)
+    a = two_m * x_old + np.log(x_old) - m * step + log_two_m
+    u_cap = two_m + log_two_m
+    # A coordinate at 0 (underflowed) stays there, since ln 0 = -inf.  Past
+    # these bounds every other one lies on one side of their mean m / size:
+    # s(lam_min) > 0 > s(lam_max).
+    moving = a[a > -np.inf]
+    mean = m / moving.size
+    u_mean = two_m * mean + math.log(two_m * mean)
+    lam_min = (moving.min() - u_mean) / m - 1.0
+    lam_max = (moving.max() - u_mean) / m + 1.0
 
     lam = float(lam_init)
     lo = hi = None  # s(lo) > 0 > s(hi); s is decreasing in lam
     for _ in range(MAX_OUTER):
-        t = np.minimum(c - lam, g_at_one)
-        x = _solve_coords_numpy(t, m)
+        u = np.minimum(a - m * lam, u_cap)
+        x, w = _omega_coords(u, m)
         s = float(np.add.reduce(x)) - m
         if abs(s) <= SUM_TOL:
             return x, lam
@@ -102,31 +126,36 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
         if method == "bisect" and lo is not None and hi is not None:
             lam = 0.5 * (lo + hi)
             continue
-        uncapped = t < g_at_one
-        slope = -float(np.add.reduce(1.0 / (2.0 + 1.0 / (m * x[uncapped]))))
+        free = w[u < u_cap]
+        share = free / (1.0 + free)
+        slope = -0.5 * float(np.add.reduce(share))
+        bracketed = lo is not None and hi is not None
         if slope < 0.0:
-            cand = lam - s / slope
-        else:
-            cand = lam + (1.0 if s > 0 else -1.0)
-        if lo is not None and hi is not None and not (lo < cand < hi):
+            curve = 0.5 * m * float(np.add.reduce(share / (1.0 + free) ** 2))
+            denom = 2.0 * slope * slope - s * curve
+            cand = (lam - 2.0 * s * slope / denom if denom > 0.0
+                    else lam - s / slope)
+        elif bracketed:  # every coordinate capped or underflowed
             cand = 0.5 * (lo + hi)
-        elif lo is not None and hi is None and cand <= lo:
-            cand = lo + max(1.0, 2.0 * (lam - lo) if lam > lo else 1.0)
-        elif hi is not None and lo is None and cand >= hi:
-            cand = hi - max(1.0, 2.0 * (hi - lam) if hi > lam else 1.0)
+        else:
+            cand = lam_max if s > 0 else lam_min
+        cand = min(max(cand, lam_min), lam_max)
+        if bracketed and not (lo < cand < hi):
+            cand = 0.5 * (lo + hi)
         lam = cand
     raise SolverFailure("m-set proximal step did not meet the sum tolerance",
                         residual=abs(s), iterations=MAX_OUTER)
 
 
 def mset_prox_kkt_residual(x_new, x_old, step, m, lam):
-    """Stationarity residual of the returned point (excludes capped coords'
-    slack, which is non-negative by construction)."""
+    """Stationarity residual of the returned point.  At a capped coordinate
+    the residual is ``-mu`` for the cap's multiplier ``mu >= 0``, so only
+    its positive part counts."""
     g_new = 2.0 * x_new + (np.log(x_new) + 1.0) / m
     g_old = 2.0 * x_old + (np.log(x_old) + 1.0) / m
     res = g_new - g_old + step + lam
     capped = x_new >= 1.0 - 1e-12
-    res = np.where(capped, np.minimum(res, 0.0), res)  # slack mu >= 0 at cap
+    res = np.where(capped, np.maximum(res, 0.0), res)  # res = -mu <= 0 at cap
     return float(np.max(np.abs(res))), float(abs(x_new.sum() - m))
 
 

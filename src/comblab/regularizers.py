@@ -133,7 +133,8 @@ class DilatedEntropy(Regularizer):
     def __init__(self, dag):
         self.dag = dag
         tails = dag.compiled.tails
-        self._star_vertices = np.unique(tails[tails != dag.sink])
+        self._star_vertices = np.flatnonzero(
+            np.bincount(tails[tails != dag.sink], minlength=dag.n_vertices))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)

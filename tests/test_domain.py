@@ -5,7 +5,7 @@ import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                parallel_dag, random_feasible_loss,
                                random_layered_dag)
-from comblab.domain import FEAS_TOL, mset_selection_dag
+from comblab.domain import FEAS_TOL, SelectionDag, mset_selection_dag
 from comblab.sampling import RngStream
 
 
@@ -402,6 +402,52 @@ def test_semiring_pass_runs_columns_bit_for_bit():
                 one_back, one_forward = dag.semiring_pass(y, reduce)
                 assert backward[:, k].tobytes() == one_back.tobytes()
                 assert forward[:, k].tobytes() == one_forward.tobytes()
+
+
+def _selection_values(dag, coord, gen, columns):
+    """Edge values for a selection DAG's pass: select values of magnitude up
+    to 1e3 (some at 1e-3 of that), a tenth of them -inf, and skip values
+    +0 or -0.  ``columns`` None gives a 1-D vector, else ``(E, columns)``."""
+    shape = (dag.n_edges,) if columns is None else (dag.n_edges, columns)
+    values = gen.uniform(-1e3, 1e3, shape) * gen.choice([1e-3, 1.0], shape)
+    values[gen.random(shape) < 0.1] = -np.inf
+    skips = coord < 0
+    values[skips] = gen.choice([0.0, -0.0], (skips.sum(),) + shape[1:])
+    return values
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (16, 4), (64, 8), (64, 32), (256, 16)])
+def test_selection_dag_pass_equals_the_level_pass_bit_for_bit(d, m):
+    gen = RngStream(50, d + m).generator
+    dag, coord = mset_selection_dag(d, m)
+    assert isinstance(dag, SelectionDag)
+    for reduce in (np.logaddexp, np.minimum, np.maximum):
+        for columns in (None, 5):
+            for _ in range(3):
+                values = _selection_values(dag, coord, gen, columns)
+                got = dag.semiring_pass(values, reduce)
+                want = cl.Dag.semiring_pass(dag, values, reduce)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_selection_dag_pass_with_a_nonzero_skip_takes_the_level_pass(monkeypatch):
+    dag, coord = mset_selection_dag(16, 4)
+    values = _selection_values(dag, coord, RngStream(51, 0).generator, None)
+    values[np.flatnonzero(coord < 0)[3]] = 0.5
+    want = cl.Dag.semiring_pass(dag, values, np.logaddexp)
+    calls = []
+    level_pass = cl.Dag.semiring_pass
+
+    def counted(self, *args):
+        calls.append(1)
+        return level_pass(self, *args)
+
+    monkeypatch.setattr(cl.Dag, "semiring_pass", counted)
+    got = dag.semiring_pass(values, np.logaddexp)
+    assert len(calls) == 1
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_extreme_paths_match_the_loop_row_by_row():

@@ -9,7 +9,7 @@ from comblab.instances import (chain_dag, diamond_dag, hypercube_set,
                                random_feasible_loss, random_layered_dag)
 from comblab.domain import mset_selection_dag
 from comblab.learners import weight_pushing_marginals
-from comblab.proximal import (_solve_coords_numpy, flow_prox_newton,
+from comblab.proximal import (SUM_TOL, _omega_coords, flow_prox_newton,
                                mset_prox, mset_prox_kkt_residual,
                                sinkhorn_flow_projection)
 from comblab.regularizers import NegativeEntropy, uniform_path_flow
@@ -164,6 +164,18 @@ def test_sampled_mset_hedge_pushes_weights_once_per_round(monkeypatch):
     assert len(calls) == 100
 
 
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+def test_mset_hedge_csv_is_that_of_the_level_pass(monkeypatch, mode):
+    from comblab.domain import SelectionDag
+    from comblab.properties import csv_text
+
+    cfg = cl.ExperimentConfig("mset:64:8", ["hedge"], "hedge-killer",
+                              horizon=48, trials=2, seed=15, mode=mode)
+    fast = csv_text(cl.run_experiment(cfg)).encode()
+    monkeypatch.setattr(SelectionDag, "semiring_pass", cl.Dag.semiring_pass)
+    assert csv_text(cl.run_experiment(cfg)).encode() == fast
+
+
 def test_mset_hedge_samples_from_the_round_marginals():
     rng = RngStream(24, 0)
     dset = cl.MSet(8, 2)
@@ -242,6 +254,75 @@ def test_prox_handles_box_cap():
     assert np.all(out > 0)
 
 
+def _prox_edge_cases(d, m):
+    """``(x_old, step)`` at the edges of the m-set step's range: ``x_old``
+    uniform, or with coordinates at 1 and at 1e-200; steps of 50 pushing
+    and pulling, and random ones up to 50.  Every solution coordinate must
+    be a normal float, or ``ln x`` has no bits left to measure a residual
+    with: so at m > 1 the 1e-200 coordinates are only pulled up and the
+    ones at 1 only pushed down (see the spread check below)."""
+    gen = RngStream(52, d + m).generator
+    edge = np.full(d, 1e-200)
+    edge[::d // m] = 1.0
+    cases = []
+    for x_old in (np.full(d, m / d), edge):
+        toward = np.where(x_old < m / d, -50.0, 50.0)  # pulls toward the mean
+        cases += [(x_old, np.zeros(d)), (x_old, toward),
+                  (x_old, 50.0 * gen.random(d) * np.sign(toward))]
+        if m == 1 or x_old[0] == m / d:  # both ways, and at random
+            cases += [(x_old, -toward)]
+            cases += [(x_old, gen.uniform(-50.0, 50.0, d)) for _ in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("d, m", [(2, 1), (8, 1), (32, 1), (8, 4)])
+def test_prox_at_the_edges_of_its_range(d, m):
+    for x_old, step in _prox_edge_cases(d, m):
+        a = 2.0 * m * x_old + np.log(x_old) - m * step
+        assert np.ptp(a) < 600.0  # so every solution coordinate is normal
+        x, lam = mset_prox(x_old, step, m)
+        stat, card = mset_prox_kkt_residual(x, x_old, step, m, lam)
+        assert stat <= 1e-11 and card <= SUM_TOL
+        assert np.all(x >= np.finfo(float).tiny) and np.all(x <= 1.0)
+        ref, _ = mset_prox(x_old, step, m, method="bisect")
+        assert np.max(np.abs(x - ref)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_prox_keeps_underflowed_coordinates_at_zero():
+    # steps of 50 at m = 16 send half the coordinates below the float range;
+    # the next step starts from those zeros, which stay 0 (ln 0 = -inf)
+    step = np.tile([50.0, -50.0], 16)
+    x, lam = mset_prox(np.full(32, 0.5), step, 16)
+    assert np.count_nonzero(x == 0.0) == 16
+    for x_old, lam_init in ((x, lam), (x, 0.0)):
+        y, _ = mset_prox(x_old, -step, 16, lam_init=lam_init)
+        ref, _ = mset_prox(x_old, -step, 16, method="bisect")
+        assert np.array_equal(y == 0.0, x == 0.0)
+        assert abs(y.sum() - 16) <= SUM_TOL
+        assert np.max(np.abs(y - ref)) <= 1e-10
+
+
+def test_prox_failure_carries_its_residual_and_step_count(monkeypatch):
+    import comblab.proximal as px
+
+    monkeypatch.setattr(px, "MAX_OUTER", 1)
+    x_old, step = np.full(8, 0.5), np.linspace(-50.0, 30.0, 8)
+    with pytest.raises(cl.SolverFailure) as info:
+        mset_prox(x_old, step, 4)
+    assert info.value.iterations == 1 and info.value.residual > SUM_TOL
+
+
+def test_prox_kkt_residual_reads_the_cap_multiplier():
+    # the cap's multiplier mu >= 0 makes the residual -mu at a capped
+    # coordinate: a negative one is slack, a positive one a violation
+    x_old, step = np.full(4, 0.5), np.array([-8.0, 0.0, 0.0, 0.0])
+    x, lam = mset_prox(x_old, step, 2)
+    assert x[0] == 1.0
+    assert mset_prox_kkt_residual(x, x_old, step, 2, lam)[0] <= 1e-12
+    assert mset_prox_kkt_residual(x, x_old, -step, 2, lam)[0] >= 1.0
+
+
 def _coords_by_newton(t, m):
     """The iterative coordinate solve the closed form replaced: Newton on
     2 e^u + (u + 1)/m = t in u = ln x, capped at u = 0."""
@@ -259,7 +340,7 @@ def _coords_by_newton(t, m):
 def test_prox_coordinate_solve_closed_form(m):
     # t runs from where x underflows to 0 (ln x < -745) up to the cap g(1).
     t = np.linspace(-760.0 / m, 2.0 + 1.0 / m, 4001)
-    x = _solve_coords_numpy(t, m)
+    x = _omega_coords(m * t + (np.log(2.0 * m) - 1.0), m)[0]
     assert x[0] == 0.0 and x[-1] == pytest.approx(1.0, abs=1e-15)
     assert np.all(x <= 1.0)
     # Residual of 2x + (ln x + 1)/m = t wherever x is a normal float (a
