@@ -52,12 +52,19 @@ def find_shattered_set(decision_set, k):
     enumerate the answer is closed-form: every set of ``k <= min(m, d-m)``
     coordinates is shattered (patterns are completed with ones on the
     highest free coordinates) and no larger set can be, so the first
-    ``k`` coordinates are returned with constructed witnesses.
+    ``k`` coordinates are returned with constructed witnesses.  Any other
+    set past ``ENUMERATION_CAP`` vertices raises :class:`PreconditionError`
+    before it enumerates.
     """
     d = decision_set.dimension
     if not (1 <= k <= d):
         raise PreconditionError(f"need 1 <= k <= d, got k={k}")
-    if isinstance(decision_set, MSet) and decision_set.count() > ENUMERATION_CAP:
+    count = decision_set.count()
+    if count > ENUMERATION_CAP and not isinstance(decision_set, MSet):
+        raise PreconditionError(
+            f"the shattered-set search enumerates the vertices, and this "
+            f"set has {count}, past ENUMERATION_CAP = {ENUMERATION_CAP}")
+    if count > ENUMERATION_CAP:
         m = decision_set.m
         if k > min(m, d - m):
             raise ShatteringNotFound(

@@ -426,6 +426,11 @@ def run_experiment(config, decision_set=None):
     shortest-path pass and one walk for every prefix), so regret curves
     are exact at every horizon.  A
     running sum that is not finite raises :class:`PreconditionError`.  The
+    same prefix sums plan every :class:`PathHedge` outside m-sets
+    (:meth:`PathHedge.plan`): its policies come from one weight-pushing pass
+    per 512 rounds, shared by the learners of one rate, in place of one
+    pass per learner and round.  On m-sets the pass is bound by
+    ``logaddexp`` and batching gains nothing, so they stay per round.  The
     loop asks the stream for each round's loss again, and from the first
     loss that fails the check it calls :func:`check_loss` on it, so that
     error comes in its round, before any learner absorbs that loss.
@@ -461,6 +466,11 @@ def run_experiment(config, decision_set=None):
             for t in range(1, config.horizon + 1):
                 losses.append(stream.loss(t))
             n_ok, cum = _feasible_prefix(dset, losses)
+            if not isinstance(dset, MSet):  # m-set passes gain nothing batched
+                plans = {}
+                for learner in learners:
+                    if isinstance(learner, PathHedge):
+                        learner.plan(cum, plans)
             overflow = ~np.isfinite(cum).all(axis=1)
             if overflow.any():
                 t = int(np.argmax(overflow)) + 1

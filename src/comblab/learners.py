@@ -13,7 +13,10 @@ over them is one learner, :class:`PathHedge`: weight pushing with one
 log-sum-exp :meth:`Dag.semiring_pass` over the graph's topological levels,
 O(|E|) work in O(levels) numpy calls per round.  On m-sets the
 :class:`SelectionDag` runs that pass along the cardinality axis instead, in
-O(m) numpy calls.  Mirror descent with
+O(m) numpy calls.  A :class:`PathHedge` told its trial's prefix sums in
+advance (:meth:`PathHedge.plan`) plays from a :class:`HedgePlan`: one pass
+per :data:`PLAN_CHUNK` rounds over an ``(E, k)`` array (fewer rounds on
+large graphs), shared by every planned learner of the same rate.  Mirror descent with
 dilated entropy has the same iterates, so the ``omd-dilated`` spec runs it
 too; :class:`DilatedOmd` is the numeric KKT route kept to certify that.
 Other sets use :class:`ExplicitHedge`, one weight per enumerated vertex.
@@ -73,6 +76,9 @@ def weight_pushing_marginals(dag, log_weights):
 
     One log-sum-exp pass gives, at every vertex, the log partition function
     of the paths to the sink and of the paths from the source.
+    ``log_weights`` has shape ``(E,)``, or ``(E, k)`` for ``k`` weightings
+    at once; then column ``j`` of the result is, bit for bit, the call on
+    column ``j`` alone.
     """
     log_w = np.asarray(log_weights, dtype=float)
     log_z, log_f = dag.semiring_pass(log_w, np.logaddexp)
@@ -186,6 +192,10 @@ class PathHedge(Learner):
     the edge marginals of one weight-pushing pass, so a round costs O(|E|)
     work in O(levels) numpy calls however many vertices the set has; on an
     m-set, O(m) numpy calls (:meth:`SelectionDag.semiring_pass`).
+
+    After :meth:`plan`, the policies come from a :class:`HedgePlan` of the
+    trial's prefix sums instead, bit for bit the same; ``absorb`` then only
+    moves the round on.
     """
 
     name = "hedge"
@@ -198,16 +208,36 @@ class PathHedge(Learner):
         self.dag, coord = decision_set.path_embedding
         self._edges = np.flatnonzero(coord >= 0)
         self._coords = coord[self._edges]
-        self.cum_loss = np.zeros(self.dag.n_edges)
+        self.cum_loss = np.zeros(self.dag.n_edges)  # None once planned
         self._marg = None  # edge marginals behind the cached policy
+        self._round = 1
+        self._plan = None
+
+    def plan(self, cum, shared=None):
+        """Play from the trial's prefix sums: row ``t - 1`` of ``cum``
+        sums the losses of rounds 1 to ``t``, which are the losses this
+        learner absorbs from its current round on.
+
+        ``shared`` is a dict of the trial's plans; learners of one set and
+        rate that pass the same dict play from one :class:`HedgePlan`.
+        """
+        plans = {} if shared is None else shared
+        self._plan = plans.setdefault((self.decision_set, self.eta),
+                                      HedgePlan(self, cum))
+        self.cum_loss = None
 
     def _compute_policy(self):
+        if self._plan is not None:
+            policy, self._marg = self._plan.round(self._round)
+            return policy
         self._marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
         return np.bincount(self._coords, weights=self._marg[self._edges],
                            minlength=self.decision_set.dimension)
 
     def _absorb(self, y):
-        self.cum_loss[self._edges] += y[self._coords]
+        self._round += 1
+        if self._plan is None:
+            self.cum_loss[self._edges] += y[self._coords]
 
     def sample(self, rng):
         self.propose()  # sets the edge marginals of the current round
@@ -215,6 +245,61 @@ class PathHedge(Learner):
         x = np.zeros(self.decision_set.dimension)
         x[self._coords[path[self._edges] > 0]] = 1.0
         return x
+
+
+#: rounds of one :class:`HedgePlan` chunk, one weight-pushing pass each;
+#: fewer on graphs of over ``PLAN_ENTRIES // PLAN_CHUNK`` edges, so that a
+#: chunk's arrays keep at most ``PLAN_ENTRIES`` entries (the pass's
+#: temporaries took 48 MB at 2048 edges and 512 rounds)
+PLAN_CHUNK = 512
+PLAN_ENTRIES = 2 ** 16
+
+
+class HedgePlan:
+    """Path Hedge's policies at one rate for every round of a trial whose
+    losses are known in advance.
+
+    Round ``t`` plays the weights ``exp(-eta * L)`` of the edge sums ``L``
+    of rounds before ``t``: row ``t - 2`` of the prefix sums ``cum``, and
+    zero at round 1.  The rounds are built ``chunk`` at a time
+    (:data:`PLAN_CHUNK`), when a round of the chunk is first asked for: one
+    :func:`weight_pushing_marginals` call over an ``(E, k)`` array, then
+    each round's policy summed per coordinate in edge order, bit for bit
+    the ``bincount`` of :class:`PathHedge`.  The arrays are read-only, so
+    learners can share them; only the latest chunk is kept.
+    """
+
+    def __init__(self, learner, cum):
+        self.dag, self.eta, self.cum = learner.dag, learner.eta, cum
+        self.dimension = learner.decision_set.dimension
+        self._edges, self._coords = learner._edges, learner._coords
+        self.chunk = max(1, min(PLAN_CHUNK, PLAN_ENTRIES // self.dag.n_edges))
+        self._chunk = (None, None, None)  # (index, policies, marginals)
+
+    def round(self, t):
+        """``(policy, edge marginals)`` of round ``t``, rows of the chunk."""
+        if t > len(self.cum) + 1:
+            raise PreconditionError(f"the plan holds {len(self.cum)} losses, "
+                                    f"so it has no round {t}")
+        index, row = divmod(t - 1, self.chunk)
+        if index != self._chunk[0]:
+            self._chunk = (index, *self._build(index))
+        _, policies, marg = self._chunk
+        return policies[row], marg[row]
+
+    def _build(self, index):
+        first = index * self.chunk  # rounds first + 1 to stop
+        stop = min(first + self.chunk, len(self.cum) + 1)
+        rows = self.cum[max(first - 1, 0):stop - 1]
+        edge_cum = np.zeros((self.dag.n_edges, stop - first))
+        edge_cum[self._edges, stop - first - len(rows):] = rows[:, self._coords].T
+        marg = weight_pushing_marginals(self.dag, -self.eta * edge_cum)
+        policies = np.zeros((stop - first, self.dimension))
+        # row by row the bincount of PathHedge: coordinates summed in edge order
+        np.add.at(policies.T, self._coords, marg[self._edges])
+        marg = np.ascontiguousarray(marg.T)
+        policies.flags.writeable = marg.flags.writeable = False
+        return policies, marg
 
 
 def make_hedge(decision_set, eta):

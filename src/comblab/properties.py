@@ -288,6 +288,54 @@ def prop_multitask_factorization(seed):
     return _result("product_hedge_factorizes", "learners", 60, margins)
 
 
+def hedge_killer_closed_form(stream):
+    """m-set Hedge's expected loss, at the rate the :class:`HedgeKillerStream`
+    ``stream`` aims at, in each of its rounds, from the loads ``y_0`` on
+    coordinate 0 and ``L``, their sum before the round.
+
+    Small-rate branch (``1/m`` on the first m coordinates): a subset's
+    weight depends only on its overlap ``r`` with them, so the loss is
+    ``y_0`` times the mean overlap under the weights
+    ``C(m, r) C(d-m, m-r) exp(-eta L r)``.  Large-rate branch (coordinate
+    0 alone): ``p_0 y_0`` with ``p_0 = 1 / (1 + ((d-m)/m) exp(eta L))``.
+    """
+    d, m, eta = stream.dimension, stream.m, stream.eta
+    y0 = np.array([stream.loss(t)[0] for t in range(1, stream.horizon + 1)])
+    before = np.concatenate(([0.0], np.cumsum(y0)[:-1]))
+    if stream.small_branch:
+        overlap = np.arange(max(0, 2 * m - d), m + 1)
+        log_count = np.array([math.log(math.comb(m, r) * math.comb(d - m, m - r))
+                              for r in overlap])
+        logits = log_count - eta * before[:, None] * overlap
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return y0 * (weights @ overlap) / weights.sum(axis=1)
+    return np.exp(-np.logaddexp(0.0, eta * before + math.log((d - m) / m))) * y0
+
+
+def prop_hedge_killer_closed_form(seed=None):
+    """Deterministic: the stream has no randomness, so ``seed`` is unused.
+
+    Hedge's per-round expected loss in ``run_experiment`` against the
+    stream aimed at its own rate, on both branches, is the closed form of
+    :func:`hedge_killer_closed_form` within 1e-12 (the ``gap``)."""
+    gaps = []
+    horizon = 256
+    for d, m in ((16, 4), (64, 8)):
+        eta0 = adv.hedge_killer_base_rate(d, m, horizon)
+        for eta in (eta0 / 2, 2 * eta0):
+            spec = f"hedge:eta={eta}"
+            res = run_experiment(ExperimentConfig(
+                f"mset:{d}:{m}", [spec], f"hedge-killer:eta={eta}",
+                horizon=horizon))
+            closed = hedge_killer_closed_form(
+                adv.HedgeKillerStream(d, m, horizon, eta))
+            gaps.append(float(np.max(np.abs(res.ledgers[spec][0].loss
+                                            - closed))))
+    return _result("hedge_loss_is_its_closed_form", "learners",
+                   len(gaps) * horizon, [1e-12 - gap for gap in gaps],
+                   gap=max(gaps))
+
+
 def prop_omd_interiority_and_kkt(seed):
     rng = RngStream(seed, 303)
     dset = MSet(12, 4)
@@ -541,6 +589,7 @@ PROPERTIES = [
     ("regularizers", prop_dilated_minimizer),
     ("learners", prop_dag_hedge_vs_explicit),
     ("learners", prop_multitask_factorization),
+    ("learners", prop_hedge_killer_closed_form),
     ("learners", prop_omd_interiority_and_kkt),
     ("learners", prop_shift_losses),
     ("learners", prop_entropy_omd_matches_newton),

@@ -677,6 +677,107 @@ def test_mset_hedge_builds_its_selection_dag_once(monkeypatch):
     assert built == [(8, 2)]
 
 
+@pytest.mark.parametrize("spec", ["multitask:8,8,8,8,8,8,8,8",
+                                  "dag-layered:128:16777216"])
+def test_universal_past_the_enumeration_cap_fails_before_round_1(spec):
+    cfg = cl.ExperimentConfig(spec, ["hedge"], "universal", horizon=3, seed=1)
+    with pytest.raises(cl.PreconditionError,
+                       match="16777216, past ENUMERATION_CAP = 1000000") as info:
+        cl.run_experiment(cfg)
+    assert (info.value.trial, info.value.round) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Hedge planned from the trial's prefix sums
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+@pytest.mark.parametrize("horizon", [1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("spec, learners", [
+    ("dag-layered:64:4096", ["hedge-dag", "omd-dilated", "hedge:eta=0.1"]),
+    ("multitask:2,4,8", ["hedge", "hedge:eta=0.3"]),
+    ("dag-layered:256:65536", ["hedge-dag"]),  # 256 rounds a chunk
+    ("dag:<diamond>", ["hedge-dag", "omd-dilated:numeric=1"])])
+def test_planned_hedge_csv_is_that_of_the_per_round_learner(
+        monkeypatch, spec, learners, horizon, mode):
+    dset = cl.DagPathSet(diamond_dag()) if spec == "dag:<diamond>" else None
+    cfg = cl.ExperimentConfig(spec, learners, "gaussian", horizon=horizon,
+                              trials=2, seed=16, mode=mode)
+    planned = cl.csv_text(cl.run_experiment(cfg, decision_set=dset))
+    monkeypatch.setattr(cl.PathHedge, "plan", lambda self, cum, shared=None: None)
+    same = planned == cl.csv_text(cl.run_experiment(cfg, decision_set=dset))
+    assert same  # not the strings: a diff of two ledgers takes minutes
+
+
+def test_batched_weight_pushing_is_the_one_column_pass_bit_for_bit():
+    rng = RngStream(16, 1).generator
+    for dset in (cl.build_set("dag-layered:64:4096"),
+                 cl.build_set("multitask:2,4,8"), cl.DagPathSet(diamond_dag())):
+        dag, _ = dset.path_embedding
+        log_w = -np.cumsum(rng.normal(size=(dag.n_edges, 40)), axis=1)
+        batched = cl.weight_pushing_marginals(dag, log_w)
+        for j in range(log_w.shape[1]):
+            assert np.array_equal(batched[:, j],
+                                  cl.weight_pushing_marginals(dag, log_w[:, j]))
+
+
+def _count_weight_pushing(monkeypatch):
+    import comblab.learners as ln
+
+    calls = []
+    push = ln.weight_pushing_marginals
+
+    def counted(dag, log_weights):
+        calls.append(np.shape(log_weights))
+        return push(dag, log_weights)
+
+    monkeypatch.setattr(ln, "weight_pushing_marginals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+def test_learners_of_one_rate_share_one_pass_per_chunk(monkeypatch, mode):
+    calls = _count_weight_pushing(monkeypatch)
+    cl.run_experiment(cl.ExperimentConfig(
+        "dag-layered:16:32", ["hedge-dag", "omd-dilated"], "gaussian",
+        horizon=1100, trials=2, mode=mode))
+    # ceil(1100 / 512) = 3 passes per trial, not 2 * 1100; the last one
+    # also holds the policy after round 1100
+    assert calls == [(16, 512), (16, 512), (16, 77)] * 2
+
+
+def test_learners_of_two_rates_make_two_plans(monkeypatch):
+    calls = _count_weight_pushing(monkeypatch)
+    cl.run_experiment(cl.ExperimentConfig(
+        "dag-layered:16:32", ["hedge-dag", "hedge-dag:eta=0.1"], "gaussian",
+        horizon=100))
+    assert calls == [(16, 101), (16, 101)]
+
+
+def test_a_planned_policy_is_read_only_and_shared_intact():
+    dset = cl.build_set("dag-layered:16:32")
+    losses = [cl.GaussianFeasibleStream(dset, 8, RngStream(16, 2)).loss(t)
+              for t in range(1, 9)]
+    planned = [cl.PathHedge(dset, 0.2) for _ in range(2)]
+    plans = {}
+    for learner in planned:
+        learner.plan(np.cumsum(losses, axis=0) + 0.0, plans)
+    solo = cl.PathHedge(dset, 0.2)
+    for y in losses:
+        policy = planned[0].propose()
+        with pytest.raises(ValueError, match="read-only"):
+            policy[0] = 1.0
+        want = solo.step(y)
+        assert np.array_equal(planned[1].propose(), want)
+        assert np.array_equal(policy, want)
+        for learner in planned:
+            learner.absorb(y)
+    assert np.array_equal(planned[0].propose(), solo.propose())  # round 9
+    planned[0].absorb(losses[0])
+    with pytest.raises(cl.PreconditionError, match="holds 8 losses"):
+        planned[0].propose()
+
+
 # ---------------------------------------------------------------------------
 # ledger
 # ---------------------------------------------------------------------------

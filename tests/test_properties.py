@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import comblab as cl
 import comblab.properties as props
 from comblab.properties import PROPERTIES, PropertyResult, run_property_suite
 
@@ -50,3 +52,19 @@ def test_results_carry_margins_and_counts(suite):
         assert r.samples > 0
         assert isinstance(r.worst_margin, float)
         assert "domain/" in r.line()
+
+
+@pytest.mark.parametrize("factor, small", [(0.5, True), (2.0, False)])
+def test_hedge_killer_closed_form_is_hedges_loss_and_no_other(factor, small):
+    d, m, horizon = 16, 4, 256
+    eta = factor * cl.hedge_killer_base_rate(d, m, horizon)
+    stream = cl.HedgeKillerStream(d, m, horizon, eta)
+    assert stream.small_branch == small
+    closed = props.hedge_killer_closed_form(stream)
+    for rate, holds in ((eta, True), (1.01 * eta, False)):
+        spec = f"hedge:eta={rate}"
+        res = cl.run_experiment(cl.ExperimentConfig(
+            f"mset:{d}:{m}", [spec], f"hedge-killer:eta={eta}",
+            horizon=horizon))
+        gap = np.max(np.abs(res.ledgers[spec][0].loss - closed))
+        assert (gap <= 1e-12) == holds, gap
