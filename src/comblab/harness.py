@@ -429,11 +429,15 @@ def run_experiment(config, decision_set=None):
     same prefix sums plan every :class:`PathHedge` outside m-sets
     (:meth:`PathHedge.plan`): its policies come from one weight-pushing pass
     per 512 rounds, shared by the learners of one rate, in place of one
-    pass per learner and round.  On m-sets the pass is bound by
-    ``logaddexp`` and batching gains nothing, so they stay per round.  The
-    loop asks the stream for each round's loss again, and from the first
-    loss that fails the check it calls :func:`check_loss` on it, so that
-    error comes in its round, before any learner absorbs that loss.
+    pass per learner and round.  In sampled mode the plan also builds the
+    CDF tables of the path draws once per chunk (``path_cdfs``), and each
+    round's draw walks its row with the learner's own stream, so the paths
+    and the sampler state are those of ``sample_path`` per round.  On
+    m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
+    so they stay per round.  The loop asks the stream for each round's
+    loss again, and from the first loss that fails the check it calls
+    :func:`check_loss` on it, so that error comes in its round, before any
+    learner absorbs that loss.
 
     Hedge-family learners are additionally checked against the classical
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating

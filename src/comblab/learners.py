@@ -16,12 +16,16 @@ O(|E|) work in O(levels) numpy calls per round.  On m-sets the
 O(m) numpy calls.  A :class:`PathHedge` told its trial's prefix sums in
 advance (:meth:`PathHedge.plan`) plays from a :class:`HedgePlan`: one pass
 per :data:`PLAN_CHUNK` rounds over an ``(E, k)`` array (fewer rounds on
-large graphs), shared by every planned learner of the same rate.  Mirror descent with
-dilated entropy has the same iterates, so the ``omd-dilated`` spec runs it
-too; :class:`DilatedOmd` is the numeric KKT route kept to certify that.
-Other sets use :class:`ExplicitHedge`, one weight per enumerated vertex.
-All weight arithmetic is done in log space with max-subtraction so large
-eta*T never overflows.
+large graphs), shared by every planned learner of the same rate.  When such
+a learner samples, the plan also builds the CDF tables of the chunk's path
+draws in one batched pass (:func:`path_cdfs`), and each round's draw walks
+its row (:func:`walk_path`): the draws of :func:`sample_path`, without a
+table build per round.  Mirror descent with dilated entropy has the same
+iterates, so the ``omd-dilated`` spec runs it too; :class:`DilatedOmd` is
+the numeric KKT route kept to certify that.  Other sets use
+:class:`ExplicitHedge`, one weight per enumerated vertex.  All weight
+arithmetic is done in log space with max-subtraction so large eta*T never
+overflows.
 """
 
 import math
@@ -33,7 +37,8 @@ from .errors import PreconditionError, ValidationError
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_kkt_residual,
                        scipy_wrightomega, sinkhorn_flow_projection)
 from .regularizers import DilatedEntropy, uniform_path_flow
-from .sampling import sample_explicit, sample_mset, sample_path
+from .sampling import (path_cdfs, sample_explicit, sample_mset, sample_path,
+                       walk_path)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +200,11 @@ class PathHedge(Learner):
 
     After :meth:`plan`, the policies come from a :class:`HedgePlan` of the
     trial's prefix sums instead, bit for bit the same; ``absorb`` then only
-    moves the round on.
+    moves the round on.  ``sample`` then walks the round's row of the plan's
+    CDF tables with :func:`walk_path`, where the per-round learner calls
+    :func:`sample_path` on the round's edge marginals: the same table, the
+    same uniforms of ``rng`` one per hop, so the same path and generator
+    state.
     """
 
     name = "hedge"
@@ -228,8 +237,7 @@ class PathHedge(Learner):
 
     def _compute_policy(self):
         if self._plan is not None:
-            policy, self._marg = self._plan.round(self._round)
-            return policy
+            return self._plan.round(self._round)
         self._marg = weight_pushing_marginals(self.dag, -self.eta * self.cum_loss)
         return np.bincount(self._coords, weights=self._marg[self._edges],
                            minlength=self.decision_set.dimension)
@@ -240,8 +248,12 @@ class PathHedge(Learner):
             self.cum_loss[self._edges] += y[self._coords]
 
     def sample(self, rng):
-        self.propose()  # sets the edge marginals of the current round
-        path = sample_path(self.dag, self._marg, rng)
+        if self._plan is not None:
+            cdf, dead = self._plan.draw_table(self._round)
+            path = walk_path(self.dag, cdf, dead, rng)
+        else:
+            self.propose()  # sets the edge marginals of the current round
+            path = sample_path(self.dag, self._marg, rng)
         x = np.zeros(self.decision_set.dimension)
         x[self._coords[path[self._edges] > 0]] = 1.0
         return x
@@ -265,8 +277,11 @@ class HedgePlan:
     (:data:`PLAN_CHUNK`), when a round of the chunk is first asked for: one
     :func:`weight_pushing_marginals` call over an ``(E, k)`` array, then
     each round's policy summed per coordinate in edge order, bit for bit
-    the ``bincount`` of :class:`PathHedge`.  The arrays are read-only, so
-    learners can share them; only the latest chunk is kept.
+    the ``bincount`` of :class:`PathHedge`.  The first draw of a chunk
+    (:meth:`draw_table`) adds the CDF tables of its rounds, built from its
+    ``(k, E)`` edge marginals in one :func:`path_cdfs` call, so expected
+    mode builds none.  The arrays are read-only, so learners can share them;
+    only the latest chunk is kept.
     """
 
     def __init__(self, learner, cum):
@@ -274,18 +289,37 @@ class HedgePlan:
         self.dimension = learner.decision_set.dimension
         self._edges, self._coords = learner._edges, learner._coords
         self.chunk = max(1, min(PLAN_CHUNK, PLAN_ENTRIES // self.dag.n_edges))
-        self._chunk = (None, None, None)  # (index, policies, marginals)
+        self._index = None  # the chunk held, with its arrays:
+        self._policies = self._marg = self._tables = None
 
     def round(self, t):
-        """``(policy, edge marginals)`` of round ``t``, rows of the chunk."""
+        """The policy of round ``t``, a row of the chunk."""
+        row = self._row(t)
+        return self._policies[row]
+
+    def draw_table(self, t):
+        """``(cdf, dead)`` of round ``t`` for :func:`walk_path`: its row of
+        the chunk's CDF tables as a list, and its dead set.  The first draw
+        of a chunk builds the tables of all its rounds from their edge
+        marginals, in one :func:`path_cdfs` call."""
+        row = self._row(t)
+        if self._tables is None:
+            cdf, dead = path_cdfs(self.dag, self._marg)
+            cdf.flags.writeable = False
+            self._tables = cdf, tuple(dead)
+        cdf, dead = self._tables
+        return cdf[row].tolist(), dead[row]
+
+    def _row(self, t):
+        """Row of round ``t`` in its chunk, which is built unless held."""
         if t > len(self.cum) + 1:
             raise PreconditionError(f"the plan holds {len(self.cum)} losses, "
                                     f"so it has no round {t}")
         index, row = divmod(t - 1, self.chunk)
-        if index != self._chunk[0]:
-            self._chunk = (index, *self._build(index))
-        _, policies, marg = self._chunk
-        return policies[row], marg[row]
+        if index != self._index:
+            self._policies, self._marg = self._build(index)
+            self._index, self._tables = index, None
+        return row
 
     def _build(self, index):
         first = index * self.chunk  # rounds first + 1 to stop

@@ -4,6 +4,12 @@ Every sampler draws a binary vertex ``x`` of the decision set so that
 ``E[x]`` equals the supplied fractional policy coordinate-by-coordinate.
 Randomness flows through :class:`RngStream`, a counter-based generator that
 is fully determined by its key, so identical keys reproduce identical draws.
+
+A path draw over a DAG is split in two: :func:`path_cdfs` builds the CDF
+tables of any number of flows in one batched pass, and :func:`walk_path`
+walks one of them with one uniform per hop.  :func:`sample_path` is the
+one-flow case; a planned :class:`PathHedge` builds the tables of a whole
+chunk of rounds once and walks one row per round, with the same draws.
 """
 
 from bisect import bisect_right
@@ -40,18 +46,111 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
+def path_cdfs(dag, flows):
+    """CDF tables of the Markovian path draw for the rows of ``flows``, a
+    ``(k, n_edges)`` array of edge flows: the walk of :func:`walk_path`
+    leaves vertex ``u`` along edge ``e`` with probability
+    ``flows[r, e] / flows[r, u]``.
+
+    Row ``r`` of the ``(k, slots)`` array ``cdf`` holds the CDF of every
+    branching vertex under ``flows[r]``, laid out by ``Dag.draw_layout``.
+    All ``k`` rows take one pass per out-degree group: a gather, a row-wise
+    ``add.reduce``, a divide, ``add.accumulate`` (the cumsum) and a divide
+    by the last column.  These are the steps ``Generator.choice(len(out),
+    p=...)`` takes for one vertex, row by row and bit for bit, so a table
+    does not depend on the other rows built with it.
+
+    Returns ``(cdf, dead)``.  ``dead[r]`` is the set of vertices that row
+    ``r`` cannot leave: the graph's dead ends and, in a row where some edge
+    carries at most ``_NO_FLOW`` (a thin row), each vertex whose outflow is
+    that small.  It is ``None`` for a row with a negative or non-finite
+    entry, which :func:`walk_path` rejects.
+    """
+    flows = np.asarray(flows, dtype=float)
+    groups, (single_verts, single_edges), _, _, edge_at, _, dead_ends = (
+        dag.draw_layout)
+    k = len(flows)
+    dead = [dead_ends] * k
+    lowest = flows.min(initial=np.inf)  # NaN if any entry is
+    if not (lowest >= 0.0 and flows.max(initial=0.0) < np.inf):
+        bad = ~((flows >= 0.0) & (flows < np.inf)).all(axis=1)
+        for r in np.flatnonzero(bad).tolist():
+            dead[r] = None
+        # such a row is never walked; ones keep its table quiet
+        flows = np.where(bad[:, None], 1.0, flows)
+        lowest = flows.min(initial=np.inf)
+    thin = lowest <= _NO_FLOW  # only then can a vertex lack outflow
+    cdf = np.empty((k, len(edge_at) - len(single_verts)))  # branching slots
+    empties, start = [], 0
+    for verts, edges in groups:
+        # (k, vertices, degree) in C order, so that add.reduce sums each
+        # vertex's row as the one-row call does (pairwise); flows[:, edges]
+        # would put the k axis innermost and sum the rows left to right
+        mass = flows.take(edges, axis=1)
+        total = np.add.reduce(mass, axis=2, keepdims=True)
+        if thin:
+            empty = total[..., 0] <= _NO_FLOW
+            empties.append((verts, empty))
+            # such a row is never read; 1 / 1 in place of 0 / 0 keeps it quiet
+            total = np.where(empty[..., None], 1.0, total)
+            mass = np.where(empty[..., None], 1.0, mass)
+        # gen.choice(k, p=mass / total) row by row, minus its checks
+        rows = np.add.accumulate(mass / total, axis=2)  # its cumsum
+        rows /= rows[..., -1:]
+        cdf[:, start:start + edges.size] = rows.reshape(k, -1)
+        start += edges.size
+    if thin:
+        for r in np.flatnonzero((flows <= _NO_FLOW).any(axis=1)).tolist():
+            starved = [single_verts[flows[r, single_edges] <= _NO_FLOW]]
+            starved += [verts[empty[r]] for verts, empty in empties]
+            dead[r] = dead_ends.union(*(v.tolist() for v in starved))
+    return cdf, dead
+
+
+def walk_path(dag, cdf, dead, rng):
+    """Walk from the source to the sink by one row of :func:`path_cdfs`:
+    ``cdf``, that row as a list, and its ``dead`` set.
+
+    Each hop takes one uniform of ``rng`` and one ``bisect_right`` in the
+    vertex's CDF, which reads no entry at a vertex of out-degree 1, so the
+    path and the generator state afterwards are those of one
+    ``Generator.choice`` per vertex on the way.  Raises
+    :class:`PreconditionError` for a ``dead`` of ``None`` before any draw,
+    and :class:`DegenerateVertex` on reaching a vertex of ``dead``.
+
+    Returns the edge-indicator of the path, 0/1 floats.
+    """
+    if dead is None:
+        raise PreconditionError("flow must be finite and non-negative")
+    _, _, lo, hi, edge_at, head_at, _ = dag.draw_layout
+    uniform = rng.generator.random
+    path = []
+    u, sink = dag.source, dag.sink
+    while u != sink:
+        if u in dead:
+            raise DegenerateVertex(f"no outgoing flow at vertex {u}")
+        slot = bisect_right(cdf, uniform(), lo[u], hi[u])
+        path.append(edge_at[slot])
+        u = head_at[slot]
+    x = np.zeros(dag.n_edges)
+    x[path] = 1.0
+    return x
+
+
 def sample_path(dag, flow, rng):
     """Draw an s-t path by the Markovian rule: leave vertex ``u`` along edge
     ``e`` with probability ``flow[e] / flow[u]``.
 
     The returned indicator vector has expectation exactly ``flow`` whenever
-    ``flow`` is a unit s-t flow.  Each call builds one CDF table: the CDF
-    of every branching vertex, one row pass per out-degree
-    (``Dag.draw_layout``).  The walk then takes one uniform and one binary
-    search per hop.  Each vertex's draw is still the one
-    ``Generator.choice(len(out), p=...)`` makes (cumulative sum, one
-    uniform, binary search), so paths and the generator state afterwards
-    match it bit for bit, without its per-call checks.
+    ``flow`` is a unit s-t flow.  The call builds the flow's one-row CDF
+    table (:func:`path_cdfs`, which also checks the flow) and walks it
+    (:func:`walk_path`), one uniform and one binary search per hop.  Each
+    vertex's draw is the one ``Generator.choice(len(out), p=...)`` makes
+    (cumulative sum, one uniform, binary search), so paths and the
+    generator state afterwards match it bit for bit, without its per-call
+    checks.  A planned
+    :class:`PathHedge` walks the same tables, built for a chunk of rounds
+    at once, so its draws are those of this call on each round's flow.
 
     Parameters
     ----------
@@ -68,41 +167,8 @@ def sample_path(dag, flow, rng):
     non-finite entry, and :class:`DegenerateVertex` at a vertex on the way
     with no outgoing flow.
     """
-    flow = np.asarray(flow, dtype=float)
-    lowest = flow.min(initial=np.inf)  # NaN if any entry is
-    if not (lowest >= 0.0 and flow.max(initial=0.0) < np.inf):
-        raise PreconditionError("flow must be finite and non-negative")
-    groups, singles, lo, hi, edge_at, head_at, dead = dag.draw_layout
-    thin = lowest <= _NO_FLOW  # only then can a vertex lack outflow
-    if thin:
-        verts, edges = singles
-        dead = dead.union(verts[flow[edges] <= _NO_FLOW].tolist())
-    cdf = []
-    for verts, edges in groups:
-        mass = flow[edges]
-        total = np.add.reduce(mass, axis=1, keepdims=True)
-        if thin:
-            empty = total[:, 0] <= _NO_FLOW
-            dead = dead.union(verts[empty].tolist())
-            # such a row is never read; 1 / 1 in place of 0 / 0 keeps it quiet
-            total = np.where(empty[:, None], 1.0, total)
-            mass = np.where(empty[:, None], 1.0, mass)
-        # gen.choice(k, p=mass / total) row by row, minus its checks
-        rows = np.add.accumulate(mass / total, axis=1)  # its cumsum
-        rows /= rows[:, -1:]
-        cdf += rows.ravel().tolist()
-    uniform = rng.generator.random
-    path = []
-    u, sink = dag.source, dag.sink
-    while u != sink:
-        if u in dead:
-            raise DegenerateVertex(f"no outgoing flow at vertex {u}")
-        slot = bisect_right(cdf, uniform(), lo[u], hi[u])
-        path.append(edge_at[slot])
-        u = head_at[slot]
-    x = np.zeros(dag.n_edges)
-    x[path] = 1.0
-    return x
+    cdf, (dead,) = path_cdfs(dag, np.asarray(flow, dtype=float)[None])
+    return walk_path(dag, cdf[0].tolist(), dead, rng)
 
 
 def sample_mset(policy, m, rng):

@@ -14,7 +14,7 @@ import comblab as cl
 import comblab.harness as hz
 from comblab.cli import main as cli_main
 from comblab.instances import chain_dag, diamond_dag
-from comblab.sampling import RngStream
+from comblab.sampling import _NO_FLOW, RngStream
 
 
 def write_hypercube(tmp_path, d=2):
@@ -529,7 +529,8 @@ def test_dag_layered_adversary_needs_its_own_graph(tmp_path):
         run(parallel)
     assert (info.value.trial, info.value.round) == (0, 0)
     same = write("layered.dag", cl.layered_dag(16, 32)[0])
-    assert cl.csv_text(run(same)) == cl.csv_text(run("dag-layered:16:32"))
+    same = cl.csv_text(run(same)) == cl.csv_text(run("dag-layered:16:32"))
+    assert same  # not the strings: a diff of two ledgers takes minutes
 
 
 def test_trial_error_keeps_the_solver_residual(monkeypatch):
@@ -691,22 +692,123 @@ def test_universal_past_the_enumeration_cap_fails_before_round_1(spec):
 # Hedge planned from the trial's prefix sums
 # ---------------------------------------------------------------------------
 
+def hops_dag():
+    """Two s-t paths of one and two hops: 0-1-2 by edges 0 and 2, and the
+    edge 0-2, second of the source's out-edges."""
+    return cl.Dag(3, [(0, 1), (0, 2), (1, 2)], 0, 2)
+
+
+_SETS = {"dag:<diamond>": diamond_dag, "dag:<hops>": hops_dag}
+
+
+def _unplanned(monkeypatch):
+    monkeypatch.setattr(cl.PathHedge, "plan",
+                        lambda self, cum, shared=None: None)
+
+
 @pytest.mark.parametrize("mode", ["expected", "sampled"])
 @pytest.mark.parametrize("horizon", [1, 511, 512, 513, 1100])
 @pytest.mark.parametrize("spec, learners", [
     ("dag-layered:64:4096", ["hedge-dag", "omd-dilated", "hedge:eta=0.1"]),
     ("multitask:2,4,8", ["hedge", "hedge:eta=0.3"]),
     ("dag-layered:256:65536", ["hedge-dag"]),  # 256 rounds a chunk
-    ("dag:<diamond>", ["hedge-dag", "omd-dilated:numeric=1"])])
+    ("dag:<diamond>", ["hedge-dag", "omd-dilated:numeric=1"]),
+    ("dag:<hops>", ["hedge-dag", "omd-dilated"])])
 def test_planned_hedge_csv_is_that_of_the_per_round_learner(
         monkeypatch, spec, learners, horizon, mode):
-    dset = cl.DagPathSet(diamond_dag()) if spec == "dag:<diamond>" else None
+    dset = cl.DagPathSet(_SETS[spec]()) if spec in _SETS else None
     cfg = cl.ExperimentConfig(spec, learners, "gaussian", horizon=horizon,
                               trials=2, seed=16, mode=mode)
     planned = cl.csv_text(cl.run_experiment(cfg, decision_set=dset))
-    monkeypatch.setattr(cl.PathHedge, "plan", lambda self, cum, shared=None: None)
+    _unplanned(monkeypatch)
     same = planned == cl.csv_text(cl.run_experiment(cfg, decision_set=dset))
     assert same  # not the strings: a diff of two ledgers takes minutes
+
+
+class _ZeroUniforms:
+    """A generator whose every uniform is 0."""
+
+    @staticmethod
+    def random():
+        return 0.0
+
+
+def _sampler_streams(monkeypatch, generator=None):
+    """The learners' sampler streams that ``run_experiment`` builds, each
+    drawing from ``generator`` when it is given."""
+    streams = []
+
+    class Stream(RngStream):
+        def __init__(self, seed, *key):
+            super().__init__(seed, *key)
+            if key[1] > 0:  # (trial, 0) is the adversary's
+                streams.append(self)
+                if generator is not None:
+                    self.generator = generator
+
+    monkeypatch.setattr(hz, "RngStream", Stream)
+    return streams
+
+
+@pytest.mark.parametrize("spec", ["dag-layered:64:4096", "multitask:2,4,8",
+                                  "dag:<hops>"])
+def test_a_planned_trial_leaves_each_sampler_where_the_per_round_one_does(
+        monkeypatch, spec):
+    dset = (cl.DagPathSet(_SETS[spec]()) if spec in _SETS
+            else cl.build_set(spec))
+    # the last two learners share one plan, hence one table per chunk
+    cfg = cl.ExperimentConfig(
+        spec, ["hedge", "hedge:eta=0.3", "hedge:eta=0.30"], "gaussian",
+        horizon=600, trials=2, seed=17, mode="sampled")
+    nexts = []
+    for plan in (True, False):
+        if not plan:
+            _unplanned(monkeypatch)
+        streams = _sampler_streams(monkeypatch)
+        cl.run_experiment(cfg, decision_set=dset)
+        assert len(streams) == 6
+        nexts.append([s.generator.random() for s in streams])
+    assert nexts[0] == nexts[1]
+
+
+def test_planned_draws_in_thin_rounds_are_those_of_sample_path():
+    # at this rate most rounds have edge marginals below _NO_FLOW, so the
+    # tables take the thin-row branch and mark starved vertices dead
+    dset = cl.build_set("dag-layered:16:32")
+    losses = [cl.GaussianFeasibleStream(dset, 300, RngStream(18, 0)).loss(t)
+              for t in range(1, 301)]
+    planned, solo = cl.PathHedge(dset, 40.0), cl.PathHedge(dset, 40.0)
+    planned.plan(np.cumsum(losses, axis=0) + 0.0)
+    ours, theirs = RngStream(18, 1), RngStream(18, 1)
+    thin = 0
+    for y in losses:
+        assert np.array_equal(planned.sample(ours), solo.sample(theirs))
+        thin += solo._marg.min() <= _NO_FLOW
+        for learner in (planned, solo):
+            learner.absorb(y)
+    assert thin > 250
+    assert ours.generator.random() == theirs.generator.random()
+
+
+def test_a_planned_draw_fails_at_a_starved_vertex_as_the_per_round_one(
+        monkeypatch, tmp_path):
+    # after round 1 the path 0-1-2 weighs e^-40 against 1 for edge 0-2;
+    # a uniform of 0 takes edge 0-1, and vertex 1's outflow is below
+    # _NO_FLOW, so the walk stops there in round 2
+    loss = tmp_path / "loss.txt"
+    loss.write_text("1 0 0\n")
+    cfg = cl.ExperimentConfig("dag:<hops>", ["hedge-dag:eta=40"],
+                              f"constant:{loss}", horizon=4, mode="sampled")
+    errors = []
+    for plan in (True, False):
+        if not plan:
+            _unplanned(monkeypatch)
+        _sampler_streams(monkeypatch, _ZeroUniforms())
+        with pytest.raises(cl.DegenerateVertex) as info:
+            cl.run_experiment(cfg, decision_set=cl.DagPathSet(hops_dag()))
+        errors.append((str(info.value), info.value.trial, info.value.round))
+    assert errors[0] == errors[1] == (
+        "trial 0, round 2: no outgoing flow at vertex 1", 0, 2)
 
 
 def test_batched_weight_pushing_is_the_one_column_pass_bit_for_bit():
@@ -721,33 +823,39 @@ def test_batched_weight_pushing_is_the_one_column_pass_bit_for_bit():
                                   cl.weight_pushing_marginals(dag, log_w[:, j]))
 
 
-def _count_weight_pushing(monkeypatch):
+def _count_calls(monkeypatch, name="weight_pushing_marginals"):
+    """Shapes of the array passed to ``comblab.learners.<name>(dag, a)``."""
     import comblab.learners as ln
 
     calls = []
-    push = ln.weight_pushing_marginals
+    fn = getattr(ln, name)
 
-    def counted(dag, log_weights):
-        calls.append(np.shape(log_weights))
-        return push(dag, log_weights)
+    def counted(dag, values):
+        calls.append(np.shape(values))
+        return fn(dag, values)
 
-    monkeypatch.setattr(ln, "weight_pushing_marginals", counted)
+    monkeypatch.setattr(ln, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("mode", ["expected", "sampled"])
 def test_learners_of_one_rate_share_one_pass_per_chunk(monkeypatch, mode):
-    calls = _count_weight_pushing(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    tables = _count_calls(monkeypatch, "path_cdfs")
     cl.run_experiment(cl.ExperimentConfig(
         "dag-layered:16:32", ["hedge-dag", "omd-dilated"], "gaussian",
         horizon=1100, trials=2, mode=mode))
     # ceil(1100 / 512) = 3 passes per trial, not 2 * 1100; the last one
     # also holds the policy after round 1100
     assert calls == [(16, 512), (16, 512), (16, 77)] * 2
+    # and one CDF table build per chunk for both learners' draws, made only
+    # when they sample
+    assert tables == ([(512, 16), (512, 16), (77, 16)] * 2
+                      if mode == "sampled" else [])
 
 
 def test_learners_of_two_rates_make_two_plans(monkeypatch):
-    calls = _count_weight_pushing(monkeypatch)
+    calls = _count_calls(monkeypatch)
     cl.run_experiment(cl.ExperimentConfig(
         "dag-layered:16:32", ["hedge-dag", "hedge-dag:eta=0.1"], "gaussian",
         horizon=100))
@@ -941,7 +1049,8 @@ def test_universal_finds_its_shattered_set_once(monkeypatch):
     dset = cl.MSet(8, 2)
     monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
         lambda rng: adv.UniversalStream(dset, cfg.horizon, rng)))
-    assert cl.csv_text(cl.run_experiment(cfg, decision_set=dset)) == shared
+    same = cl.csv_text(cl.run_experiment(cfg, decision_set=dset)) == shared
+    assert same  # not the strings: a diff of two ledgers takes minutes
     assert len(searches) == 1 + cfg.trials
 
 

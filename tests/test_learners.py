@@ -173,7 +173,8 @@ def test_mset_hedge_csv_is_that_of_the_level_pass(monkeypatch, mode):
                               horizon=48, trials=2, seed=15, mode=mode)
     fast = csv_text(cl.run_experiment(cfg)).encode()
     monkeypatch.setattr(SelectionDag, "semiring_pass", cl.Dag.semiring_pass)
-    assert csv_text(cl.run_experiment(cfg)).encode() == fast
+    same = csv_text(cl.run_experiment(cfg)).encode() == fast
+    assert same  # not the strings: a diff of two ledgers takes minutes
 
 
 def test_mset_hedge_samples_from_the_round_marginals():

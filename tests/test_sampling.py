@@ -7,7 +7,8 @@ import pytest
 import comblab as cl
 from comblab.instances import chain_dag, diamond_dag, parallel_dag
 from comblab.learners import weight_pushing_marginals
-from comblab.sampling import RngStream, sample_explicit, sample_mset, sample_path
+from comblab.sampling import (_NO_FLOW, RngStream, path_cdfs, sample_explicit,
+                              sample_mset, sample_path)
 
 
 def test_rng_stream_determinism_and_independence():
@@ -119,6 +120,25 @@ def test_sample_path_draws_as_generator_choice(spec, cut):
                               _choice_walk(dag, flow, theirs.generator))
     assert _same_state(ours.generator.bit_generator.state,
                        theirs.generator.bit_generator.state)
+
+
+@pytest.mark.parametrize("spec", _DRAW_SPECS)
+def test_path_cdfs_rows_are_the_one_row_tables_bit_for_bit(spec):
+    # A planned Hedge walks rows of a chunk's tables where the per-round
+    # learner walks sample_path's one-row table: each row must not depend
+    # on the rows built with it.  multitask:12,20 has a one-vertex group
+    # per fan-out; large weights give thin rows; row 5 is rejected alone.
+    dag = cl.build_set(spec).path_embedding[0]
+    log_w = RngStream(46, 0).generator.standard_normal((dag.n_edges, 64))
+    flows = np.ascontiguousarray(weight_pushing_marginals(dag, 20 * log_w).T)
+    flows[5, 0] = np.nan
+    cdf, dead = path_cdfs(dag, flows)
+    assert dead[5] is None and (flows.min(axis=1) <= _NO_FLOW).sum() > 30
+    for r in range(64):
+        one, (one_dead,) = path_cdfs(dag, flows[r][None])
+        assert one_dead == dead[r]
+        if r != 5:
+            assert np.array_equal(one[0], cdf[r])
 
 
 def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
