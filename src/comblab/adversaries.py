@@ -150,6 +150,8 @@ class LossStream:
     """One materialised loss sequence; ``loss(t)`` is pure for t in 1..T."""
 
     def __init__(self, dimension, horizon):
+        if horizon < 1:
+            raise PreconditionError(f"need horizon >= 1, got {horizon}")
         self.dimension = int(dimension)
         self.horizon = int(horizon)
 

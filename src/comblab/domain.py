@@ -8,6 +8,12 @@ variants are supported:
 * :class:`MultitaskSet` -- one choice per block, concatenated,
 * :class:`DagPathSet` -- edge indicators of s-t paths in a DAG.
 
+A multitask set is the path set of a chain of parallel-edge bundles, so it
+takes its count, enumeration and dual-norm extremes from the same DAG code
+as a path set (:class:`PathSetMixin`).  Every set's best values are the
+minima of those extremes, but for path sets, whose ``best_vertex`` takes a
+dot product.
+
 Loss vectors are constrained so that every action's per-round loss lies in
 [-1, 1]; equivalently the dual norm ``max_x |<x, y>|`` is at most one.  All
 operations here are pure functions of their inputs.
@@ -483,8 +489,9 @@ class DecisionSet:
 
     def best_values(self, cum_losses):
         """``best_vertex(row)[1]`` of every row of the ``(k, d)`` array
-        ``cum_losses``, bit for bit; closed forms batch it."""
-        return np.array([self.best_vertex(row)[1] for row in cum_losses])
+        ``cum_losses``, bit for bit: the minima of ``_extreme_products``,
+        which sum as ``best_vertex`` does."""
+        return self._extreme_products(cum_losses)[0]
 
 
 class ExplicitSet(DecisionSet):
@@ -558,82 +565,17 @@ class MSet(DecisionSet):
         x[chosen] = 1.0
         return x, float(cum_loss[chosen].sum())
 
-    def best_values(self, cum_losses):
-        return self._extreme_products(cum_losses)[0]
-
     @functools.cached_property
     def path_embedding(self):
         """The select/skip DAG of :func:`mset_selection_dag`."""
         return mset_selection_dag(self.dimension, self.m)
 
 
-class MultitaskSet(DecisionSet):
-    """One expert chosen per block; losses add across blocks."""
-
-    def __init__(self, block_sizes):
-        sizes = [int(b) for b in block_sizes]
-        if not sizes or any(b < 2 for b in sizes):
-            raise PreconditionError("each block needs at least 2 experts")
-        self.block_sizes = sizes
-        self.dimension = sum(sizes)
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        self.block_slices = [slice(int(starts[i]), int(starts[i + 1]))
-                             for i in range(len(sizes))]
-
-    def count(self):
-        return math.prod(self.block_sizes)
-
-    def log_count(self):
-        return sum(math.log(b) for b in self.block_sizes)
-
-    def _vertices(self):
-        out = []
-        for combo in itertools.product(*(range(b) for b in self.block_sizes)):
-            x = np.zeros(self.dimension)
-            for sl, j in zip(self.block_slices, combo):
-                x[sl.start + j] = 1.0
-            out.append(x)
-        return out
-
-    def _extreme_products(self, zs):
-        starts = [sl.start for sl in self.block_slices]
-        # block extremes summed left to right from 0, as best_vertex sums
-        return (sum(np.minimum.reduceat(zs, starts, axis=1).T),
-                sum(np.maximum.reduceat(zs, starts, axis=1).T))
-
-    def best_vertex(self, cum_loss):
-        cum_loss = np.asarray(cum_loss, dtype=float)
-        x = np.zeros(self.dimension)
-        total = 0.0
-        for sl in self.block_slices:
-            j = int(np.argmin(cum_loss[sl]))  # argmin takes first on ties
-            x[sl.start + j] = 1.0
-            total += float(cum_loss[sl.start + j])
-        return x, total
-
-    def best_values(self, cum_losses):
-        return self._extreme_products(cum_losses)[0]
-
-    @functools.cached_property
-    def path_embedding(self):
-        """A chain with one bundle of parallel edges per block; edge ``e``
-        carries coordinate ``e``."""
-        edges = [(b, b + 1) for b, size in enumerate(self.block_sizes)
-                 for _ in range(size)]
-        n = len(self.block_sizes)
-        return Dag(n + 1, edges, 0, n), np.arange(self.dimension)
-
-
-class DagPathSet(DecisionSet):
-    """Edge indicators of all s-t paths in a validated DAG."""
-
-    def __init__(self, dag):
-        defects = dag.validate()
-        if defects:
-            raise PreconditionError("invalid DAG: " + "; ".join(defects))
-        self.dag = dag
-        self.dimension = dag.n_edges
-        self.path_embedding = (dag, np.arange(dag.n_edges))
+class PathSetMixin:
+    """Count, enumeration and extremes of a set whose vertices are the s-t
+    paths of ``self.dag``, edge ``e`` carrying coordinate ``e``.  Not a
+    :class:`DecisionSet`: perfbench's tracer wraps the ``best_vertex`` that
+    each of those defines."""
 
     def count(self):
         return self.dag.path_count()
@@ -647,6 +589,51 @@ class DagPathSet(DecisionSet):
         _, lo = self.dag.semiring_pass(np.vstack([zs, -zs]).T, np.minimum)
         lo = lo[self.dag.sink]
         return lo[:len(zs)], -lo[len(zs):]
+
+
+class MultitaskSet(PathSetMixin, DecisionSet):
+    """One expert chosen per block; losses add across blocks.  The vertices
+    are the s-t paths of a chain with one bundle of parallel edges per
+    block, listed in block-product order."""
+
+    def __init__(self, block_sizes):
+        sizes = [int(b) for b in block_sizes]
+        if not sizes or any(b < 2 for b in sizes):
+            raise PreconditionError("each block needs at least 2 experts")
+        self.block_sizes = sizes
+        self.dimension = sum(sizes)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        self.block_slices = [slice(int(starts[i]), int(starts[i + 1]))
+                             for i in range(len(sizes))]
+        edges = [(b, b + 1) for b, size in enumerate(sizes)
+                 for _ in range(size)]
+        self.dag = Dag(len(sizes) + 1, edges, 0, len(sizes))
+        self.path_embedding = (self.dag, np.arange(self.dimension))
+
+    def log_count(self):  # a sum of logs: it fixes eta bit for bit
+        return sum(math.log(b) for b in self.block_sizes)
+
+    def best_vertex(self, cum_loss):
+        cum_loss = np.asarray(cum_loss, dtype=float)
+        x = np.zeros(self.dimension)
+        total = 0.0
+        for sl in self.block_slices:
+            j = int(np.argmin(cum_loss[sl]))  # argmin takes first on ties
+            x[sl.start + j] = 1.0
+            total += float(cum_loss[sl.start + j])
+        return x, total
+
+
+class DagPathSet(PathSetMixin, DecisionSet):
+    """Edge indicators of all s-t paths in a validated DAG."""
+
+    def __init__(self, dag):
+        defects = dag.validate()
+        if defects:
+            raise PreconditionError("invalid DAG: " + "; ".join(defects))
+        self.dag = dag
+        self.dimension = dag.n_edges
+        self.path_embedding = (dag, np.arange(dag.n_edges))
 
     def best_vertex(self, cum_loss):
         x = self.dag.extreme_path(cum_loss)

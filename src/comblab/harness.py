@@ -79,7 +79,10 @@ def parse_config(path):
             if "=" not in line:
                 raise PreconditionError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in values:
+                raise PreconditionError(f"config key {key} is repeated")
+            values[key] = val.strip()
     unknown = [k for k in values if k not in _CONFIG_KEYS]
     if unknown:
         raise PreconditionError(f"unknown config keys: {unknown}; "
@@ -428,11 +431,12 @@ def run_experiment(config, decision_set=None):
     running sum that is not finite raises :class:`PreconditionError`.  The
     same prefix sums plan every :class:`PathHedge` outside m-sets
     (:meth:`PathHedge.plan`): its policies come from one weight-pushing pass
-    per 512 rounds, shared by the learners of one rate, in place of one
-    pass per learner and round.  In sampled mode the plan also builds the
-    CDF tables of the path draws once per chunk (``path_cdfs``), and each
-    round's draw walks its row with the learner's own stream, so the paths
-    and the sampler state are those of ``sample_path`` per round.  On
+    per chunk of ``PLAN_ENTRIES // E`` rounds on a graph of ``E`` edges,
+    shared by the learners of one rate, in place of one pass per learner
+    and round.  In sampled mode the plan also builds the CDF tables of the
+    path draws once per chunk (``path_cdfs``), and each round's draw walks
+    its row with the learner's own stream, so the paths and the sampler
+    state are those of ``sample_path`` per round.  On
     m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
     so they stay per round.  The loop asks the stream for each round's
     loss again, and from the first loss that fails the check it calls
@@ -571,6 +575,8 @@ def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
     from weight pushing, so the comparison is non-circular.  Solver
     failures propagate.
     """
+    if horizon < 1:
+        raise PreconditionError(f"need horizon >= 1, got {horizon}")
     dset = DagPathSet(dag)
     omd = DilatedOmd(dset, eta)
     hedge = PathHedge(dset, eta)

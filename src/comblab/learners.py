@@ -15,12 +15,12 @@ O(|E|) work in O(levels) numpy calls per round.  On m-sets the
 :class:`SelectionDag` runs that pass along the cardinality axis instead, in
 O(m) numpy calls.  A :class:`PathHedge` told its trial's prefix sums in
 advance (:meth:`PathHedge.plan`) plays from a :class:`HedgePlan`: one pass
-per :data:`PLAN_CHUNK` rounds over an ``(E, k)`` array (fewer rounds on
-large graphs), shared by every planned learner of the same rate.  When such
-a learner samples, the plan also builds the CDF tables of the chunk's path
-draws in one batched pass (:func:`path_cdfs`), and each round's draw walks
-its row (:func:`walk_path`): the draws of :func:`sample_path`, without a
-table build per round.  Mirror descent with dilated entropy has the same
+over an ``(E, k)`` array per chunk of ``k = PLAN_ENTRIES // E`` rounds,
+shared by every planned learner of the same rate.  When such a learner
+samples, the plan also builds the CDF tables of the chunk's path draws in
+one batched pass (:func:`path_cdfs`), and each round's draw walks its row
+(:func:`walk_path`): the draws of :func:`sample_path`, without a table
+build per round.  Mirror descent with dilated entropy has the same
 iterates, so the ``omd-dilated`` spec runs it too; :class:`DilatedOmd` is
 the numeric KKT route kept to certify that.  Other sets use
 :class:`ExplicitHedge`, one weight per enumerated vertex.  All weight
@@ -231,8 +231,10 @@ class PathHedge(Learner):
         rate that pass the same dict play from one :class:`HedgePlan`.
         """
         plans = {} if shared is None else shared
-        self._plan = plans.setdefault((self.decision_set, self.eta),
-                                      HedgePlan(self, cum))
+        key = (self.decision_set, self.eta)
+        if key not in plans:
+            plans[key] = HedgePlan(self, cum)
+        self._plan = plans[key]
         self.cum_loss = None
 
     def _compute_policy(self):
@@ -259,11 +261,9 @@ class PathHedge(Learner):
         return x
 
 
-#: rounds of one :class:`HedgePlan` chunk, one weight-pushing pass each;
-#: fewer on graphs of over ``PLAN_ENTRIES // PLAN_CHUNK`` edges, so that a
-#: chunk's arrays keep at most ``PLAN_ENTRIES`` entries (the pass's
-#: temporaries took 48 MB at 2048 edges and 512 rounds)
-PLAN_CHUNK = 512
+#: entries of one :class:`HedgePlan` chunk's ``(E, k)`` arrays: a chunk
+#: holds ``PLAN_ENTRIES // E`` rounds, one weight-pushing pass each (the
+#: pass's temporaries took 48 MB at 2048 edges and 512 rounds)
 PLAN_ENTRIES = 2 ** 16
 
 
@@ -273,11 +273,11 @@ class HedgePlan:
 
     Round ``t`` plays the weights ``exp(-eta * L)`` of the edge sums ``L``
     of rounds before ``t``: row ``t - 2`` of the prefix sums ``cum``, and
-    zero at round 1.  The rounds are built ``chunk`` at a time
-    (:data:`PLAN_CHUNK`), when a round of the chunk is first asked for: one
-    :func:`weight_pushing_marginals` call over an ``(E, k)`` array, then
-    each round's policy summed per coordinate in edge order, bit for bit
-    the ``bincount`` of :class:`PathHedge`.  The first draw of a chunk
+    zero at round 1.  The rounds are built ``chunk`` at a time (at most
+    :data:`PLAN_ENTRIES` entries), when a round of the chunk is first asked
+    for: one :func:`weight_pushing_marginals` call over an ``(E, k)`` array,
+    then each round's policy summed per coordinate in edge order, bit for
+    bit the ``bincount`` of :class:`PathHedge`.  The first draw of a chunk
     (:meth:`draw_table`) adds the CDF tables of its rounds, built from its
     ``(k, E)`` edge marginals in one :func:`path_cdfs` call, so expected
     mode builds none.  The arrays are read-only, so learners can share them;
@@ -288,7 +288,7 @@ class HedgePlan:
         self.dag, self.eta, self.cum = learner.dag, learner.eta, cum
         self.dimension = learner.decision_set.dimension
         self._edges, self._coords = learner._edges, learner._coords
-        self.chunk = max(1, min(PLAN_CHUNK, PLAN_ENTRIES // self.dag.n_edges))
+        self.chunk = max(1, PLAN_ENTRIES // self.dag.n_edges)
         self._index = None  # the chunk held, with its arrays:
         self._policies = self._marg = self._tables = None
 

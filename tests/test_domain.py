@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,52 @@ def test_dual_norm_equals_enumeration_everywhere():
             z = gen.standard_normal(dset.dimension)
             assert dset.dual_norm(z) == pytest.approx(
                 np.max(np.abs(mat @ z)), abs=1e-12)
+
+
+def _block_closed_forms(sizes, zs):
+    """A multitask set's count, vertices in block-product order, and the
+    (min, max) of ``<x, z>`` per row of ``zs``, block extremes summed left
+    to right from 0."""
+    starts = np.cumsum([0] + sizes[:-1])
+    vertices = []
+    for combo in itertools.product(*(range(b) for b in sizes)):
+        x = np.zeros(sum(sizes))
+        x[starts + combo] = 1.0
+        vertices.append(x)
+    return (math.prod(sizes), np.array(vertices),
+            sum(np.minimum.reduceat(zs, starts, axis=1).T),
+            sum(np.maximum.reduceat(zs, starts, axis=1).T))
+
+
+@pytest.mark.parametrize("sizes", [[2, 3], [2, 4, 8], [12, 20], [2] * 10])
+def test_multitask_sets_match_their_block_closed_forms(sizes):
+    gen = RngStream(18, len(sizes)).generator
+    d, n = sum(sizes), len(sizes)
+    ints = gen.integers(-2, 3, size=(40, d)).astype(float)  # ties
+    signs = np.where(gen.random((40, d)) < 0.5, -1.0, 1.0)  # and -0.0
+    gauss = gen.standard_normal((40, d))
+    zs = np.vstack([ints * signs, gauss, gauss * 1e300])
+    count, vertices, lo, hi = _block_closed_forms(sizes, zs)
+    chain = cl.Dag(n + 1, [(b, b + 1) for b, size in enumerate(sizes)
+                           for _ in range(size)], 0, n)
+    multitask = cl.MultitaskSet(sizes)
+    assert not isinstance(multitask, cl.DagPathSet)
+    for dset in (multitask, cl.DagPathSet(chain)):
+        assert dset.count() == count
+        got = np.array(dset.enumerate_vertices())
+        assert got.tobytes() == vertices.tobytes()
+        got_lo, got_hi = dset._extreme_products(zs)
+        assert got_lo.tobytes() == lo.tobytes()
+        # the max is minus a min, so a zero max may come out as -0.0
+        assert (got_hi + 0.0).tobytes() == hi.tobytes()
+        assert dset._dual_norms(zs).tobytes() == np.maximum(abs(lo),
+                                                            abs(hi)).tobytes()
+    assert multitask.best_values(zs).tobytes() == lo.tobytes()
+
+
+def test_multitask_enumeration_cap_is_the_path_count_cap():
+    with pytest.raises(cl.CapExceeded, match="path count exceeds cap"):
+        cl.MultitaskSet([2] * 20 + [3]).enumerate_vertices()
 
 
 def test_dual_witness_attains_norm():

@@ -136,6 +136,12 @@ def test_config_parsing(tmp_path):
     bad.write_text("set=mset:6:2\n")
     with pytest.raises(cl.PreconditionError):
         cl.parse_config(str(bad))
+    # a repeated key is an error, not the last value silently kept
+    bad.write_text("set=mset:6:2\nlearner=hedge\nadversary=mset-lb\nT=40\n"
+                   "learner = omd-mset\n")
+    with pytest.raises(cl.PreconditionError,
+                       match="config key learner is repeated"):
+        cl.parse_config(str(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -840,17 +846,24 @@ def _count_calls(monkeypatch, name="weight_pushing_marginals"):
 
 @pytest.mark.parametrize("mode", ["expected", "sampled"])
 def test_learners_of_one_rate_share_one_pass_per_chunk(monkeypatch, mode):
+    import comblab.learners as ln
+
     calls = _count_calls(monkeypatch)
     tables = _count_calls(monkeypatch, "path_cdfs")
+    built, plan = [], ln.HedgePlan
+    monkeypatch.setattr(ln, "HedgePlan",
+                        lambda *args: built.append(1) or plan(*args))
     cl.run_experiment(cl.ExperimentConfig(
-        "dag-layered:16:32", ["hedge-dag", "omd-dilated"], "gaussian",
-        horizon=1100, trials=2, mode=mode))
-    # ceil(1100 / 512) = 3 passes per trial, not 2 * 1100; the last one
-    # also holds the policy after round 1100
-    assert calls == [(16, 512), (16, 512), (16, 77)] * 2
+        "dag-layered:256:65536", ["hedge-dag", "omd-dilated"], "gaussian",
+        horizon=600, trials=2, mode=mode))
+    # 2 ** 16 entries over 256 edges: ceil(601 / 256) = 3 passes per trial,
+    # not 2 * 600; the last one also holds the policy after round 600
+    assert calls == [(256, 256), (256, 256), (256, 89)] * 2
+    # one plan per trial, built by the first learner only
+    assert len(built) == 2
     # and one CDF table build per chunk for both learners' draws, made only
     # when they sample
-    assert tables == ([(512, 16), (512, 16), (77, 16)] * 2
+    assert tables == ([(256, 256), (256, 256), (89, 256)] * 2
                       if mode == "sampled" else [])
 
 
@@ -987,6 +1000,15 @@ def test_cli_equiv_check(tmp_path, capsys):
     dagfile.write_text("dag 4 4 0 3\n0 1\n0 2\n1 3\n2 3\n")
     assert cli_main(["equiv-check", str(dagfile), "--T", "10"]) == 0
     assert "PASS" in capsys.readouterr().out
+    for horizon in ("0", "-1"):
+        assert cli_main(["equiv-check", str(dagfile), "--T", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("comblab: PreconditionError: need horizon "
+                                f">= 1, got {horizon}\n")
+    stream = cl.ConstantStream(np.zeros(4), 5)
+    with pytest.raises(cl.PreconditionError, match="got 0"):
+        cl.check_iterate_equivalence(cl.load_dag(str(dagfile)), stream, 0.3, 0)
 
 
 def test_cli_props_scope(tmp_path, capsys):
