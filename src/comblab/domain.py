@@ -157,6 +157,21 @@ class Dag:
         """Number of s-t paths."""
         return self.paths_to_sink()[self.source]
 
+    @functools.cached_property
+    def hop_count(self):
+        """The number of hops that every walk from the source takes to the
+        sink, or None where two walks take different counts or one cannot
+        reach the sink.  On a graph whose every vertex lies on an s-t path,
+        that is the common hop count of its s-t paths.  One min pass and
+        one max pass over unit weights give it, on first use."""
+        ones = np.ones(self.n_edges)
+        fewest, reached = self.semiring_pass(ones, np.minimum)
+        most, _ = self.semiring_pass(ones, np.maximum)
+        walked = reached < np.inf  # the vertices a walk from the source meets
+        if not np.array_equal(fewest[walked], most[walked]):
+            return None  # unequal, or +inf and -inf where the sink is cut off
+        return int(fewest[self.source])
+
     def extreme_path(self, y):
         """A shortest s-t path under edge weights ``y``, as an edge
         indicator (a longest one under ``-y``): the row of
@@ -202,9 +217,9 @@ class Dag:
 
     @functools.cached_property
     def draw_layout(self):
-        """The out-stars grouped by out-degree, for ``sample_path`` and
-        ``extreme_paths``: ``(groups, singles, lo, hi, edge_at, head_at,
-        dead_ends)``.
+        """The out-stars grouped by out-degree, for the path draws of
+        ``sampling`` and ``extreme_paths``: ``(groups, singles, lo, hi,
+        edge_at, head_at, dead_ends)``.
 
         ``groups`` holds ``(vertices, edges)`` per out-degree ``k >= 2``,
         smallest first: the vertices of that degree and their out-edges, a

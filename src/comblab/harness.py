@@ -409,11 +409,12 @@ def csv_text(result):
     for trial in range(n_trials):
         for name in names:
             led = result.ledgers[name][trial]
-            for t in range(led.horizon):
-                lines.append(
-                    f"{trial},{t + 1},{name},{float(led.loss[t])!r},"
-                    f"{float(led.cum_loss[t])!r},{float(led.cum_best[t])!r},"
-                    f"{float(led.regret[t])!r}")
+            # Python floats, one conversion per column: repr as before
+            columns = (np.asarray(c, dtype=float).tolist() for c in
+                       (led.loss, led.cum_loss, led.cum_best, led.regret))
+            for t, row in enumerate(zip(*columns), 1):
+                lines.append(f"{trial},{t},{name},{row[0]!r},{row[1]!r},"
+                             f"{row[2]!r},{row[3]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -434,9 +435,11 @@ def run_experiment(config, decision_set=None):
     per chunk of ``PLAN_ENTRIES // E`` rounds on a graph of ``E`` edges,
     shared by the learners of one rate, in place of one pass per learner
     and round.  In sampled mode the plan also builds the CDF tables of the
-    path draws once per chunk (``path_cdfs``), and each round's draw walks
-    its row with the learner's own stream, so the paths and the sampler
-    state are those of ``sample_path`` per round.  On
+    path draws once per chunk (``path_cdfs``).  Where all paths take the
+    same number of hops, each learner walks the chunk's rounds at once, by
+    one batch of uniforms of its own stream (``walk_paths``); elsewhere it
+    walks one row per round.  Either way the paths and the sampler state
+    are those of ``sample_path`` per round.  On
     m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
     so they stay per round.  The loop asks the stream for each round's
     loss again, and from the first loss that fails the check it calls
@@ -573,10 +576,14 @@ def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
 
     The mirror-descent side solves each proximal step numerically, apart
     from weight pushing, so the comparison is non-circular.  Solver
-    failures propagate.
+    failures propagate.  A tolerance that is not a finite non-negative
+    number raises :class:`PreconditionError` before round 1.
     """
     if horizon < 1:
         raise PreconditionError(f"need horizon >= 1, got {horizon}")
+    if not 0.0 <= tol < math.inf:
+        raise PreconditionError(f"tolerance must be finite and non-negative, "
+                                f"got {tol!r}")
     dset = DagPathSet(dag)
     omd = DilatedOmd(dset, eta)
     hedge = PathHedge(dset, eta)

@@ -607,7 +607,9 @@ PROPERTIES = [
 
 def run_property_suite(scope=None, seed=0):
     """Run the registered invariants (optionally only one module's scope);
-    returns the list of :class:`PropertyResult`."""
+    returns the list of :class:`PropertyResult`.  A seed that no stream
+    takes raises :class:`PreconditionError` before any check runs."""
+    RngStream(seed)
     results = []
     for prop_scope, prop in PROPERTIES:
         if scope is not None and prop_scope != scope:

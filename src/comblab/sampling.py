@@ -8,8 +8,11 @@ is fully determined by its key, so identical keys reproduce identical draws.
 A path draw over a DAG is split in two: :func:`path_cdfs` builds the CDF
 tables of any number of flows in one batched pass, and :func:`walk_path`
 walks one of them with one uniform per hop.  :func:`sample_path` is the
-one-flow case; a planned :class:`PathHedge` builds the tables of a whole
-chunk of rounds once and walks one row per round, with the same draws.
+one-flow case.  A planned :class:`PathHedge` builds the tables of a whole
+chunk of rounds once; on a graph whose walks all take ``Dag.hop_count``
+hops it takes a chunk's uniforms in one call and walks all its rows at
+once (:func:`walk_paths`), otherwise one row per round, with the draws of
+:func:`sample_path` either way.
 """
 
 from bisect import bisect_right
@@ -29,12 +32,16 @@ class RngStream:
     Built on the counter-based Philox generator: streams with distinct keys
     are statistically independent, and the same key always yields the same
     sequence.  Derive child streams with :meth:`substream` rather than
-    sharing one stream across components.
+    sharing one stream across components.  A negative seed or key raises
+    :class:`PreconditionError`.
     """
 
     def __init__(self, seed, *key):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
+        if min((self.seed, *self.key)) < 0:
+            raise PreconditionError(f"seed and key must be non-negative, got "
+                                    f"seed {self.seed}, key {self.key}")
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         self.generator = np.random.Generator(np.random.Philox(seq))
 
@@ -118,7 +125,7 @@ def walk_path(dag, cdf, dead, rng):
     :class:`PreconditionError` for a ``dead`` of ``None`` before any draw,
     and :class:`DegenerateVertex` on reaching a vertex of ``dead``.
 
-    Returns the edge-indicator of the path, 0/1 floats.
+    Returns the list of the path's edges, from the source on.
     """
     if dead is None:
         raise PreconditionError("flow must be finite and non-negative")
@@ -132,9 +139,57 @@ def walk_path(dag, cdf, dead, rng):
         slot = bisect_right(cdf, uniform(), lo[u], hi[u])
         path.append(edge_at[slot])
         u = head_at[slot]
-    x = np.zeros(dag.n_edges)
-    x[path] = 1.0
-    return x
+    return path
+
+
+def walk_paths(dag, cdf, dead, uniforms):
+    """Walk the rows of :func:`path_cdfs` tables all at once, one hop per
+    step, on a graph where every walk takes ``hops = dag.hop_count`` hops.
+
+    ``cdf`` and ``dead`` are ``k`` rows of the tables and their dead sets,
+    ``uniforms`` a ``(k, hops)`` array: row ``r`` walks by its uniforms in
+    turn, as :func:`walk_path` does by one stream that gives them.  At
+    vertex ``u`` a row leaves by slot ``lo[u]`` plus the number of its CDF
+    entries in ``[lo[u], hi[u])`` that are at most the uniform.  A row of
+    ``path_cdfs`` is sorted, so that is ``bisect_right``, bit for bit.
+
+    Returns ``(edges, error)``.  ``edges`` is a ``(j, hops)`` array of the
+    edges that rows ``0`` to ``j - 1`` take, hop by hop, and ``error`` is
+    what :func:`walk_path` raises on row ``j``: the first row with a
+    ``dead`` of ``None``, or whose walk meets a vertex of its dead set
+    first.  ``error`` is None, and ``j`` is ``k``, when no row fails.
+    """
+    _, _, lo, hi, edge_at, head_at, _ = dag.draw_layout
+    lo, edge_at, head_at = np.array(lo), np.array(edge_at), np.array(head_at)
+    width = np.array(hi) - lo
+    reach = np.arange(width.max(initial=0))  # the most entries a vertex reads
+    k, hops = np.shape(uniforms)
+    error = None
+    j = next((r for r, d in enumerate(dead) if d is None), k)
+    if j < k:
+        error = PreconditionError("flow must be finite and non-negative")
+    rows = np.arange(j)[:, None]
+    edges = np.empty((j, hops), dtype=np.intp)
+    at = np.empty((j, hops), dtype=np.intp)  # the vertex each hop leaves
+    u = np.full(j, dag.source)
+    for h in range(hops):
+        at[:, h] = u
+        slot = first = lo[u]
+        if reach.size:
+            # a vertex's entries sit in [first, first + width); the mask
+            # drops what lies past them, the clip only keeps it in range
+            read = np.minimum(first[:, None] + reach, cdf.shape[1] - 1)
+            below = cdf[rows, read] <= uniforms[:j, h, None]
+            slot = first + (below & (reach < width[u][:, None])).sum(axis=1)
+        edges[:, h] = edge_at[slot]
+        u = head_at[slot]
+    for r in range(j):
+        if dead[r]:  # only a thin row, or a graph with dead ends, has one
+            stop = next((v for v in at[r].tolist() if v in dead[r]), None)
+            if stop is not None:
+                error = DegenerateVertex(f"no outgoing flow at vertex {stop}")
+                return edges[:r], error
+    return edges, error
 
 
 def sample_path(dag, flow, rng):
@@ -148,9 +203,9 @@ def sample_path(dag, flow, rng):
     vertex's draw is the one ``Generator.choice(len(out), p=...)`` makes
     (cumulative sum, one uniform, binary search), so paths and the
     generator state afterwards match it bit for bit, without its per-call
-    checks.  A planned
-    :class:`PathHedge` walks the same tables, built for a chunk of rounds
-    at once, so its draws are those of this call on each round's flow.
+    checks.  A planned :class:`PathHedge` walks the same tables, built for
+    a chunk of rounds at once, by the same uniforms of its stream in the
+    same order, so its draws are those of this call on each round's flow.
 
     Parameters
     ----------
@@ -168,7 +223,9 @@ def sample_path(dag, flow, rng):
     with no outgoing flow.
     """
     cdf, (dead,) = path_cdfs(dag, np.asarray(flow, dtype=float)[None])
-    return walk_path(dag, cdf[0].tolist(), dead, rng)
+    x = np.zeros(dag.n_edges)
+    x[walk_path(dag, cdf[0].tolist(), dead, rng)] = 1.0
+    return x
 
 
 def sample_mset(policy, m, rng):

@@ -735,8 +735,8 @@ class _ZeroUniforms:
     """A generator whose every uniform is 0."""
 
     @staticmethod
-    def random():
-        return 0.0
+    def random(size=None):
+        return 0.0 if size is None else np.zeros(size)
 
 
 def _sampler_streams(monkeypatch, generator=None):
@@ -757,7 +757,7 @@ def _sampler_streams(monkeypatch, generator=None):
 
 
 @pytest.mark.parametrize("spec", ["dag-layered:64:4096", "multitask:2,4,8",
-                                  "dag:<hops>"])
+                                  "dag:<hops>", "dag-layered:256:65536"])
 def test_a_planned_trial_leaves_each_sampler_where_the_per_round_one_does(
         monkeypatch, spec):
     dset = (cl.DagPathSet(_SETS[spec]()) if spec in _SETS
@@ -815,6 +815,55 @@ def test_a_planned_draw_fails_at_a_starved_vertex_as_the_per_round_one(
         errors.append((str(info.value), info.value.trial, info.value.round))
     assert errors[0] == errors[1] == (
         "trial 0, round 2: no outgoing flow at vertex 1", 0, 2)
+
+
+def test_a_planned_graded_draw_fails_at_a_starved_vertex_as_the_per_round_one(
+        monkeypatch, tmp_path):
+    # every path takes two hops, so planned draws walk a chunk at once.
+    # After round 1 the path 0-1-3 weighs e^-40 against 1 for 0-2-3; a
+    # uniform of 0 takes edge 0-1, and vertex 1's outflow is below
+    # _NO_FLOW, so the walk stops there in round 2
+    graded = cl.Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
+    assert graded.hop_count == 2
+    loss = tmp_path / "loss.txt"
+    loss.write_text("1 0 0 0\n")
+    cfg = cl.ExperimentConfig("dag:<graded>", ["hedge-dag:eta=40"],
+                              f"constant:{loss}", horizon=4, mode="sampled")
+    errors = []
+    for plan in (True, False):
+        if not plan:
+            _unplanned(monkeypatch)
+        _sampler_streams(monkeypatch, _ZeroUniforms())
+        with pytest.raises(cl.DegenerateVertex) as info:
+            cl.run_experiment(cfg, decision_set=cl.DagPathSet(graded))
+        errors.append((str(info.value), info.value.trial, info.value.round))
+    assert errors[0] == errors[1] == (
+        "trial 0, round 2: no outgoing flow at vertex 1", 0, 2)
+
+
+def test_hop_count_is_that_of_every_path_or_none():
+    assert cl.build_set("dag-layered:64:4096").dag.hop_count == 8  # 4 layers
+    assert cl.build_set("dag-layered:256:65536").dag.hop_count == 4
+    assert cl.build_set("multitask:2,4,8").path_embedding[0].hop_count == 3
+    assert hops_dag().hop_count is None
+    # both s-t paths take two hops, but a walk into dead end 3 takes one
+    # and never reaches the sink
+    dead_end = cl.Dag(5, [(0, 1), (0, 2), (1, 4), (2, 4), (1, 3)], 0, 4)
+    assert dead_end.hop_count is None
+
+
+def test_a_planned_draw_takes_each_chunk_from_one_stream():
+    dset = cl.build_set("dag-layered:16:32")
+    losses = [cl.GaussianFeasibleStream(dset, 8, RngStream(19, 0)).loss(t)
+              for t in range(1, 9)]
+    learner = cl.PathHedge(dset, 0.2)
+    learner.plan(np.cumsum(losses, axis=0) + 0.0)
+    ours = RngStream(19, 1)
+    learner.sample(ours)
+    learner.absorb(losses[0])
+    with pytest.raises(cl.PreconditionError, match="one stream"):
+        learner.sample(RngStream(19, 1))
+    learner.sample(ours)  # its own stream still draws
 
 
 def test_batched_weight_pushing_is_the_one_column_pass_bit_for_bit():
@@ -1015,6 +1064,34 @@ def test_cli_props_scope(tmp_path, capsys):
     assert cli_main(["props", "--scope", "harness"]) == 0
     out = capsys.readouterr().out
     assert "harness/" in out and "domain/" not in out
+
+
+def test_cli_rejects_a_negative_seed_in_one_line(tmp_path, capsys):
+    dagfile = tmp_path / "g.dag"
+    dagfile.write_text("dag 4 4 0 3\n0 1\n0 2\n1 3\n2 3\n")
+    for argv, key in ((["equiv-check", str(dagfile), "--seed", "-1"], "(0,)"),
+                      (["props", "--seed", "-1"], "()")):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("comblab: PreconditionError: seed and key must "
+                                f"be non-negative, got seed -1, key {key}\n")
+    with pytest.raises(cl.PreconditionError, match="got seed 3, key \\(0, -2\\)"):
+        RngStream(3, 0).substream(-2)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_cli_equiv_check_rejects_a_bad_tolerance_before_round_1(
+        tmp_path, capsys, monkeypatch, tol):
+    dagfile = tmp_path / "g.dag"
+    dagfile.write_text("dag 4 4 0 3\n0 1\n0 2\n1 3\n2 3\n")
+    monkeypatch.setattr(cl.DilatedOmd, "absorb", None)  # round 1 would fail
+    assert cli_main(["equiv-check", str(dagfile), "--T", "3",
+                     f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("comblab: PreconditionError: tolerance must be "
+                            f"finite and non-negative, got {float(tol)!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import comblab as cl
-from comblab.instances import chain_dag, diamond_dag, parallel_dag
+from comblab.instances import (chain_dag, diamond_dag, parallel_dag,
+                               random_layered_dag)
 from comblab.learners import weight_pushing_marginals
 from comblab.sampling import (_NO_FLOW, RngStream, path_cdfs, sample_explicit,
-                              sample_mset, sample_path)
+                              sample_mset, sample_path, walk_path, walk_paths)
 
 
 def test_rng_stream_determinism_and_independence():
@@ -163,6 +164,75 @@ def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
             drawn.random()
             assert _same_state(rng.generator.bit_generator.state,
                                drawn.bit_generator.state)
+
+
+class _Given:
+    """A stream whose generator gives these uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self.generator = self
+        self._next = iter(uniforms.tolist())
+
+    def random(self):
+        return next(self._next)
+
+
+def _walked(dag, cdf, dead, uniforms):
+    """``walk_path`` on one row: its edges, or the error it raises."""
+    try:
+        return walk_path(dag, cdf.tolist(), dead, _Given(uniforms))
+    except cl.ComblabError as err:
+        return type(err), str(err)
+
+
+def test_walk_paths_is_walk_path_row_by_row():
+    # Random graded DAGs, out-degrees 1 to 4 side by side, and a chain of
+    # fan-outs 2, 4 and 8; large weights give thin rows, a zeroed outflow
+    # starves a middle vertex that the walk may meet, a NaN row is rejected.
+    gen = RngStream(49, 0).generator
+    dags = [random_layered_dag(RngStream(49, 1 + i), max_edges=30, max_width=4)
+            for i in range(12)]
+    dags.append(cl.build_set("multitask:2,4,8").path_embedding[0])
+    thin = starved = 0
+    for dag in dags:
+        hops = dag.hop_count
+        assert hops == max(dag._kahn_levels[1])  # all edges join two layers
+        log_w = 20 * gen.standard_normal((dag.n_edges, 40))
+        flows = np.ascontiguousarray(weight_pushing_marginals(dag, log_w).T)
+        for r in range(0, 40, 4):
+            v = int(gen.integers(1, dag.sink))
+            flows[r, dag.out_edges[v]] = 0.0
+        flows[37, 0] = np.nan
+        cdf, dead = path_cdfs(dag, flows)
+        thin += sum(d is not None and len(d) > 0 for d in dead)
+        uniforms = gen.random((40, hops))
+        edges, error = walk_paths(dag, cdf, dead, uniforms)
+        first_fail = None
+        for r in range(40):
+            want = _walked(dag, cdf[r], dead[r], uniforms[r])
+            one, one_error = walk_paths(dag, cdf[r:r + 1], dead[r:r + 1],
+                                        uniforms[r:r + 1])
+            if isinstance(want, list):
+                assert one_error is None and one.tolist() == [want]
+                if first_fail is None:
+                    assert edges[r].tolist() == want
+            else:
+                starved += want[0] is cl.DegenerateVertex
+                assert len(one) == 0 and (type(one_error), str(one_error)) == want
+                if first_fail is None:
+                    first_fail = r
+                    assert (type(error), str(error)) == want
+        assert len(edges) == first_fail
+    assert thin > 100 and starved > 20, (thin, starved)
+
+
+def test_a_batch_of_uniforms_is_as_many_draws_one_at_a_time():
+    # walk_paths takes a chunk's uniforms in one call where walk_path
+    # takes them one per hop: Philox gives the same doubles and state
+    batched, single = RngStream(50, 1).generator, RngStream(50, 1).generator
+    block = batched.random((7, 5))
+    assert block.ravel().tolist() == [single.random() for _ in range(35)]
+    assert _same_state(batched.bit_generator.state, single.bit_generator.state)
 
 
 @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
