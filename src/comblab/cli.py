@@ -55,12 +55,36 @@ def main(argv=None):
     p_lb.add_argument("theorem_id", choices=sorted(LB_DEMOS))
     p_lb.add_argument("--seed", type=int, default=0)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return _run(args)
     except ComblabError as err:
         print(f"comblab: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+
+
+def _join_negative_values(argv):
+    """``--opt -1e-9`` as ``--opt=-1e-9``.  argparse takes a token that
+    starts with ``-`` for an option unless it reads as ``-1`` or ``-0.5``,
+    so ``--tol -1e-9`` would stop there with "expected one argument"
+    instead of reaching the value's own check."""
+    joined = []
+    for token in argv:
+        if (token.startswith("-") and joined and joined[-1].startswith("--")
+                and "=" not in joined[-1] and _is_number(token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _run(args):

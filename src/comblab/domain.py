@@ -358,6 +358,28 @@ class Dag:
             arr.flags.writeable = False
         return system
 
+    @functools.cached_property
+    def kkt_template(self):
+        """The KKT matrix ``[[H, A^T], [A, 0]]`` of the flow polytope with
+        the constraint blocks of ``flow_system`` filled in and zeros in the
+        ``n_edges`` square Hessian block; read-only, so each solve copies
+        it and writes its own Hessian."""
+        a_mat = self.flow_system[0]
+        size = self.n_edges + a_mat.shape[0]
+        kkt = np.zeros((size, size))
+        kkt[:self.n_edges, self.n_edges:] = a_mat.T
+        kkt[self.n_edges:, :self.n_edges] = a_mat
+        kkt.flags.writeable = False
+        return kkt
+
+    @functools.cached_property
+    def free_incidence(self):
+        """The rows of ``incidence`` at every vertex but the sink, whose
+        potential the entropy projection pins; read-only."""
+        inc = np.delete(self.incidence, self.sink, axis=0)
+        inc.flags.writeable = False
+        return inc
+
     def flow_excess(self, x):
         """``B x - b``, the conservation error at every vertex."""
         excess = self.incidence @ np.asarray(x, dtype=float)
@@ -401,8 +423,8 @@ def flow_check(dag, x):
 def flow_residual(x, excess):
     """The larger of ``max |excess|`` and the box violation of ``x``: the
     residual of :func:`flow_check` from ``excess = B x - b``."""
-    return max(float(np.max(np.abs(excess))),
-               float(np.max(np.maximum(-x, x - 1.0), initial=0.0)))
+    return max(float(np.abs(excess).max()),
+               0.0, -float(x.min()), float(x.max()) - 1.0)
 
 
 # ---------------------------------------------------------------------------

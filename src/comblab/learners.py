@@ -476,7 +476,9 @@ class EntropyDagOmd(Learner):
     vector (constant shift along every path), then a multiplicative edge
     update is projected back onto the polytope under negative entropy by
     damped Newton on the dual over vertex potentials
-    (:func:`sinkhorn_flow_projection`).
+    (:func:`sinkhorn_flow_projection`).  Each update starts from the log of
+    the iterate that the projection returned, so an edge whose flow
+    underflowed to 0 keeps a finite log and can come back.
     """
 
     name = "omd-entropy-dag"
@@ -486,18 +488,18 @@ class EntropyDagOmd(Learner):
             raise PreconditionError("EntropyDagOmd needs a DagPathSet")
         super().__init__(decision_set, eta)
         self.dag = decision_set.dag
-        self.iterate, _ = sinkhorn_flow_projection(
+        self.iterate, info = sinkhorn_flow_projection(
             self.dag, np.zeros(self.dag.n_edges))
+        self.log_iterate = info["log_x"]
 
     def _compute_policy(self):
         return self.iterate.copy()
 
     def _absorb(self, y):
         shifted, _ = shift_losses(self.dag, y)
-        with np.errstate(divide="ignore"):  # an underflowed 0 is a zero flow
-            log_x = np.log(self.iterate)
-        self.iterate, _ = sinkhorn_flow_projection(
-            self.dag, log_x - self.eta * shifted)
+        self.iterate, info = sinkhorn_flow_projection(
+            self.dag, self.log_iterate - self.eta * shifted)
+        self.log_iterate = info["log_x"]
 
     def sample(self, rng):
         return sample_path(self.dag, self.iterate, rng)

@@ -7,12 +7,20 @@
 * :func:`flow_prox_newton` -- damped Newton on the equality-constrained
   KKT system over a flow polytope.  Used as the numeric oracle that keeps
   the fast weight-pushing path honest, and as the cross-check for the
-  entropy projection.  The constraint system and its least-squares
-  multiplier operator are fixed per DAG and built once
-  (:attr:`Dag.flow_system`); each step costs one dense KKT solve.
+  entropy projection.  What is fixed per DAG is built once: the
+  constraint system and its least-squares multiplier operator
+  (:attr:`Dag.flow_system`), the KKT matrix with its constraint blocks
+  filled in (:attr:`Dag.kkt_template`, copied once per call) and the
+  dilated entropy's same-star Hessian pattern (``DilatedEntropy``).  Each
+  step writes the Hessian block and costs one dense KKT solve.
 * :func:`sinkhorn_flow_projection` -- Bregman projection (negative
   entropy) onto the flow polytope by damped Newton on the dual over vertex
-  potentials.
+  potentials, with the incidence rows of the free vertices built once
+  per DAG (:attr:`Dag.free_incidence`).
+
+Both take the line search of :func:`_armijo`, which returns what it
+evaluated at the accepted step: the next iteration starts from that value
+(and flow) instead of evaluating it again.
 """
 
 import functools
@@ -176,17 +184,19 @@ def flow_prox_newton(dag, reg, x_start, linear):
     ``SOLVER_TOL`` within ``NEWTON_MAX_ITER`` iterations.
     """
     a_mat, b_vec, a_ls = dag.flow_system
-    n_edges, n_rows = dag.n_edges, a_mat.shape[0]
+    n_edges = dag.n_edges
     x = np.asarray(x_start, dtype=float).copy()
     linear = np.asarray(linear, dtype=float)
-    kkt = np.zeros((n_edges + n_rows, n_edges + n_rows))
-    kkt[:n_edges, n_edges:] = a_mat.T
-    kkt[n_edges:, :n_edges] = a_mat
-    rhs = np.zeros(n_edges + n_rows)
+    kkt = dag.kkt_template.copy()
+    rhs = np.zeros(len(kkt))
 
     def objective(pt):
-        return float(linear @ pt) + reg.value(pt)
+        """``(pt, value)``, the value infinite off the open orthant."""
+        if not pt.min() > 0:
+            return pt, np.inf
+        return pt, float(linear @ pt) + reg.value(pt)
 
+    base = None  # the objective at x, when the line search evaluated it
     residual = np.inf
     for iteration in range(NEWTON_MAX_ITER):
         reg_grad = reg.grad(x)
@@ -195,8 +205,8 @@ def flow_prox_newton(dag, reg, x_start, linear):
         # CURRENT point (least squares, nu = -pinv(A^T) grad), not the one
         # riding along with the Newton step, which is conditioning-limited
         # near the optimum.
-        residual = max(float(np.max(np.abs(grad - a_mat.T @ (a_ls @ grad)))),
-                       float(np.max(np.abs(a_mat @ x - b_vec))))
+        residual = max(float(np.abs(grad - a_mat.T @ (a_ls @ grad)).max()),
+                       float(np.abs(a_mat @ x - b_vec).max()))
         if residual <= SOLVER_TOL:
             return x, {"residual": residual, "iterations": iteration,
                        "grad": reg_grad}
@@ -209,28 +219,37 @@ def flow_prox_newton(dag, reg, x_start, linear):
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         p = sol[:n_edges]
         neg = p < 0
-        alpha = min(1.0, 0.995 * float(np.min(x[neg] / -p[neg], initial=np.inf)))
-        alpha = _armijo(
-            lambda a: objective(x + a * p) if (x + a * p).min() > 0 else np.inf,
-            objective(x), float(grad @ p), alpha,
-            SolverFailure("flow Newton line search stalled",
-                          residual=residual, iterations=iteration))
-        x = x + alpha * p
+        alpha = min(1.0, 0.995 * float((x[neg] / -p[neg]).min(initial=np.inf)))
+        if base is None:
+            base = objective(x)[1]
+        alpha, accepted = _armijo(
+            lambda a: objective(x + a * p), base, float(grad @ p), alpha,
+            ("flow Newton line search stalled", residual, iteration))
+        # x + alpha * p, as the line search evaluated it or afresh
+        x, base = accepted or (x + alpha * p, None)
     raise SolverFailure("flow Newton did not reach tolerance",
                         residual=residual, iterations=NEWTON_MAX_ITER)
 
 
-def _armijo(value_at, base, slope, alpha, stalled):
-    """Halve ``alpha`` until ``value_at(alpha)`` makes the Armijo decrease
-    from ``base`` along ``slope``; raise ``stalled`` below 1e-16.  A slope
-    under ``1e-12 * (1 + |base|)`` drowns in round-off: take the step as is.
+def _armijo(evaluate, base, slope, alpha, stalled):
+    """Halve ``alpha`` until ``evaluate(alpha)``, a tuple whose last item
+    is the value there, makes the Armijo decrease from ``base`` along
+    ``slope``; below 1e-16 raise ``SolverFailure(*stalled)``, ``stalled``
+    being its message, residual and iteration count.  A slope under
+    ``1e-12 * (1 + |base|)`` drowns in round-off: take the step as is.
+
+    Returns ``(alpha, accepted)``, ``accepted`` being what ``evaluate``
+    returned at that ``alpha``, or None where nothing was evaluated.
     """
     if abs(slope) > 1e-12 * (1.0 + abs(base)):
-        while not value_at(alpha) <= base + 1e-4 * alpha * slope:
+        while True:
+            trial = evaluate(alpha)
+            if trial[-1] <= base + 1e-4 * alpha * slope:
+                return alpha, trial
             alpha *= 0.5
             if alpha <= 1e-16:
-                raise stalled
-    return alpha
+                raise SolverFailure(*stalled)
+    return alpha, None
 
 
 def sinkhorn_flow_projection(dag, log_w):
@@ -247,40 +266,44 @@ def sinkhorn_flow_projection(dag, log_w):
     subgraph hanging on light edges, with a singular Newton system.
 
     Returns ``(x, info)`` with the ``flow_check`` residual, at most
-    ``SOLVER_TOL``, and the number of Newton steps; raises
+    ``SOLVER_TOL``, the number of Newton steps and ``log x`` as ``log_x``:
+    the exponent itself, finite where ``x`` underflowed to 0.  Raises
     :class:`SolverFailure` past ``PROJECTION_MAX_ITER`` steps.
     """
     log_w = np.asarray(log_w, dtype=float)
     tails, heads = dag.compiled.tails, dag.compiled.heads
     free = np.arange(dag.n_vertices) != dag.sink
-    inc = dag.incidence[free]
+    inc = dag.free_incidence
     log_z, _ = dag.semiring_pass(log_w, np.logaddexp)
     nu = np.where(np.isfinite(log_z), -log_z, 0.0)
 
     def flow_and_dual(pot):
-        """The flow at potentials ``pot`` and the dual objective, negated."""
-        x = np.exp(log_w + pot[tails] - pot[heads])
-        return x, float(np.add.reduce(x)) - pot[dag.source]
+        """``(pot, log x, x, the dual objective negated)`` at ``pot``."""
+        log_x = log_w + pot[tails] - pot[heads]
+        x = np.exp(log_x)
+        return pot, log_x, x, float(np.add.reduce(x)) - pot[dag.source]
 
-    x, base = flow_and_dual(nu)
+    _, log_x, x, base = flow_and_dual(nu)
+    step = np.zeros(dag.n_vertices)  # the sink's entry stays 0
     residual = np.inf
     for iteration in range(PROJECTION_MAX_ITER):
         excess = dag.flow_excess(x)
         residual = flow_residual(x, excess)
         if residual <= SOLVER_TOL:
-            return x, {"residual": residual, "iterations": iteration}
+            return x, {"residual": residual, "iterations": iteration,
+                       "log_x": log_x}
         grad = excess[free]
         hess = (inc * x) @ inc.T
-        step = np.zeros(dag.n_vertices)
         try:
-            step[free] = np.linalg.solve(hess, -grad)
+            free_step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:  # every edge at some vertex is zero
-            step[free] = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        nu += _armijo(lambda a: flow_and_dual(nu + a * step)[1], base,
-                      float(grad @ step[free]), 1.0,
-                      SolverFailure("entropy projection line search stalled",
-                                    residual=residual, iterations=iteration)
-                      ) * step
-        x, base = flow_and_dual(nu)
+            free_step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        step[free] = free_step
+        alpha, accepted = _armijo(
+            lambda a: flow_and_dual(nu + a * step), base,
+            float(grad @ free_step), 1.0,
+            ("entropy projection line search stalled", residual, iteration))
+        # nu + alpha * step, as the line search evaluated it or afresh
+        nu, log_x, x, base = accepted or flow_and_dual(nu + alpha * step)
     raise SolverFailure("entropy projection did not reach tolerance",
                         residual=residual, iterations=PROJECTION_MAX_ITER)

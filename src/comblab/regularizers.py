@@ -27,12 +27,12 @@ def _xlogx(x):
 
 
 def _check_nonneg(x):
-    if np.min(x, initial=0.0) < -1e-12:
-        raise DomainError(f"negative coordinate {np.min(x)!r}")
+    if x.min(initial=0.0) < -1e-12:
+        raise DomainError(f"negative coordinate {x.min()!r}")
 
 
 def _check_positive(x):
-    if np.min(x) <= 0.0:
+    if x.min() <= 0.0:
         raise DomainError("gradient/Hessian need strictly positive coordinates")
 
 
@@ -128,13 +128,19 @@ class DilatedEntropy(Regularizer):
     The out-stars of the non-sink vertices partition the edges.  Every
     method takes the loads from :meth:`Dag.vertex_loads` (one bincount over
     the edge tails) and gathers them back by tail, so none loops over stars.
+    The Hessian's same-star pattern is built once, in ``__init__``.
     """
 
     def __init__(self, dag):
         self.dag = dag
         tails = dag.compiled.tails
+        out_of_star = tails != dag.sink
         self._star_vertices = np.flatnonzero(
-            np.bincount(tails[tails != dag.sink], minlength=dag.n_vertices))
+            np.bincount(tails[out_of_star], minlength=dag.n_vertices))
+        # -1 where edges e and f leave one non-sink vertex, +0.0 elsewhere
+        same_star = (tails[:, None] == tails) & out_of_star[:, None]
+        self._same_star = np.where(same_star, -1.0, 0.0)
+        self._same_star.flags.writeable = False
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,10 +167,11 @@ class DilatedEntropy(Regularizer):
     def hessian_matrix(self, x):
         x = np.asarray(x, dtype=float)
         _check_positive(x)
-        tails = self.dag.compiled.tails
-        same_star = (tails[:, None] == tails) & (tails != self.dag.sink)[:, None]
-        h = np.diag(1.0 / x)
-        h -= same_star / self.dag.vertex_loads(x)[tails][:, None]
+        # -1/load, or +0.0, plus 1/x on the diagonal: the bits of
+        # diag(1/x) - same_star/load
+        loads = self.dag.vertex_loads(x)[self.dag.compiled.tails]
+        h = self._same_star / loads[:, None]
+        h.flat[::x.size + 1] += 1.0 / x
         return h
 
 

@@ -24,6 +24,7 @@ from .errors import DegenerateVertex, PreconditionError
 
 #: A vertex whose out-edges carry at most this much flow has none.
 _NO_FLOW = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class RngStream:
@@ -71,7 +72,8 @@ def path_cdfs(dag, flows):
     ``r`` cannot leave: the graph's dead ends and, in a row where some edge
     carries at most ``_NO_FLOW`` (a thin row), each vertex whose outflow is
     that small.  It is ``None`` for a row with a negative or non-finite
-    entry, which :func:`walk_path` rejects.
+    entry, or whose outflow at some vertex overflows, which
+    :func:`walk_path` rejects.
     """
     flows = np.asarray(flows, dtype=float)
     groups, (single_verts, single_edges), _, _, edge_at, _, dead_ends = (
@@ -79,8 +81,11 @@ def path_cdfs(dag, flows):
     k = len(flows)
     dead = [dead_ends] * k
     lowest = flows.min(initial=np.inf)  # NaN if any entry is
-    if not (lowest >= 0.0 and flows.max(initial=0.0) < np.inf):
-        bad = ~((flows >= 0.0) & (flows < np.inf)).all(axis=1)
+    # under this bound no outflow sum overflows: it has at most n_edges
+    # terms, and rounding makes it far less than twice their exact sum
+    bounded = float(flows.max(initial=0.0)) * (2 * dag.n_edges) <= _FLOAT_MAX
+    if not (lowest >= 0.0 and bounded):
+        bad = _unwalkable(flows, groups)
         for r in np.flatnonzero(bad).tolist():
             dead[r] = None
         # such a row is never walked; ones keep its table quiet
@@ -112,6 +117,17 @@ def path_cdfs(dag, flows):
             starved += [verts[empty[r]] for verts, empty in empties]
             dead[r] = dead_ends.union(*(v.tolist() for v in starved))
     return cdf, dead
+
+
+def _unwalkable(flows, groups):
+    """The rows of ``flows`` with a negative or non-finite entry, or with a
+    vertex of ``groups`` whose outflow sum overflows."""
+    bad = ~((flows >= 0.0) & (flows < np.inf)).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, edges in groups:
+            total = np.add.reduce(flows.take(edges, axis=1), axis=2)
+            bad |= ~(total < np.inf).all(axis=1)
+    return bad
 
 
 def walk_path(dag, cdf, dead, rng):

@@ -1058,6 +1058,17 @@ def test_cli_equiv_check(tmp_path, capsys):
     stream = cl.ConstantStream(np.zeros(4), 5)
     with pytest.raises(cl.PreconditionError, match="got 0"):
         cl.check_iterate_equivalence(cl.load_dag(str(dagfile)), stream, 0.3, 0)
+    # a negative value in exponent form, as a separate token, reaches the
+    # value's own check rather than stopping in argparse
+    for option, value, message in (
+            ("--tol", "-1e-9", "tolerance must be finite and non-negative, "
+                               "got -1e-09"),
+            ("--eta", "-1e-3", "learning rate must be positive and finite")):
+        assert cli_main(["equiv-check", str(dagfile), "--T", "3",
+                         option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"comblab: PreconditionError: {message}\n"
 
 
 def test_cli_props_scope(tmp_path, capsys):

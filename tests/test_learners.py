@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -12,7 +13,8 @@ from comblab.learners import weight_pushing_marginals
 from comblab.proximal import (SUM_TOL, _omega_coords, flow_prox_newton,
                                mset_prox, mset_prox_kkt_residual,
                                sinkhorn_flow_projection)
-from comblab.regularizers import NegativeEntropy, uniform_path_flow
+from comblab.regularizers import (DilatedEntropy, NegativeEntropy,
+                                  uniform_path_flow)
 from comblab.sampling import RngStream, sample_path
 
 
@@ -397,25 +399,35 @@ def test_dilated_numeric_matches_fast_path():
 
 def test_dilated_omd_builds_its_kkt_system_once(monkeypatch):
     # The constraint system and its least-squares multiplier operator
-    # pinv(A^T) are built once per DAG, not once per proximal step.
-    calls = {"pinv": 0, "lstsq": 0}
+    # pinv(A^T), the KKT template and the Hessian's same-star pattern are
+    # built once per DAG, not once per proximal step.
+    calls = {"pinv": 0, "lstsq": 0, "kkt_template": 0, "same_star": 0}
 
-    def counting(name):
-        original = getattr(np.linalg, name)
-
+    def counting(name, original):
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    template = functools.cached_property(
+        counting("kkt_template", cl.Dag.kkt_template.func))
+    template.__set_name__(cl.Dag, "kkt_template")
+    monkeypatch.setattr(cl.Dag, "kkt_template", template)
+    # DilatedEntropy builds its pattern in __init__ and nowhere else
+    monkeypatch.setattr(DilatedEntropy, "__init__",
+                        counting("same_star", DilatedEntropy.__init__))
     dset = cl.build_set("dag-layered:16:32")
     learner = cl.DilatedOmd(dset, 0.3)
+    pattern = learner.reg._same_star
     stream = cl.GaussianFeasibleStream(dset, 10, RngStream(42, 0))
     for t in range(1, 11):
         learner.step(stream.loss(t))
-    assert calls == {"pinv": 1, "lstsq": 0}
+    assert calls == {"pinv": 1, "lstsq": 0, "kkt_template": 1, "same_star": 1}
+    assert learner.reg._same_star is pattern and not pattern.flags.writeable
+    assert not dset.dag.kkt_template.flags.writeable
 
 
 def test_dilated_omd_reuses_the_solver_gradient(monkeypatch):
@@ -510,6 +522,24 @@ def test_entropy_omd_steps_past_an_underflowed_flow_without_warning():
             learner.step(np.array([0.5, 0.0, 0.5, 0.0]))
     assert learner.iterate[0] == 0.0
     assert cl.flow_check(dag, learner.iterate)[1] <= 1e-9
+
+
+def test_entropy_omd_brings_an_underflowed_flow_back():
+    # 30 rounds against the top path at eta = 50 underflow the flow of its
+    # first edge to 0; 30 rounds against the bottom path then bring every
+    # edge back to 1/2.  The learner steps from the log-iterate that the
+    # projection returns, where log 0 = -inf would hold that edge at 0.
+    dag = diamond_dag()
+    learner = cl.EntropyDagOmd(cl.DagPathSet(dag), 50.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(30):
+            learner.step(np.array([0.5, 0.0, 0.5, 0.0]))
+        assert learner.iterate[0] == 0.0
+        for _ in range(30):
+            learner.step(np.array([0.0, 0.5, 0.0, 0.5]))
+    assert np.max(np.abs(learner.iterate - 0.5)) <= 1e-12
+    assert np.array_equal(np.exp(learner.log_iterate), learner.iterate)
 
 
 def test_entropy_omd_matches_kkt_oracle():

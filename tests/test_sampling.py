@@ -249,6 +249,28 @@ def test_sample_path_rejects_a_bad_flow_before_drawing(bad):
                        RngStream(45, 0).generator.bit_generator.state)
 
 
+def test_a_flow_whose_outflow_overflows_is_rejected_without_warning():
+    # 1e308 on both out-edges of the source: their sum overflows.  Such a
+    # row is rejected before any draw, as Generator.choice rejects its
+    # probabilities; a row built beside it keeps its own table.
+    dag = diamond_dag()
+    big, fair = np.full(4, 1e308), np.array([0.3, 0.7, 0.3, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = RngStream(56, 0)
+        with pytest.raises(cl.PreconditionError, match="finite and non-negative"):
+            sample_path(dag, big, rng)
+        cdf, dead = path_cdfs(dag, np.array([fair, big]))
+        one, one_dead = path_cdfs(dag, fair[None])
+        edges, error = walk_paths(dag, cdf[::-1], dead[::-1],
+                                  np.zeros((2, dag.hop_count)))
+    assert _same_state(rng.generator.bit_generator.state,
+                       RngStream(56, 0).generator.bit_generator.state)
+    assert dead[1] is None and dead[0] == one_dead[0]
+    assert np.array_equal(cdf[0], one[0])
+    assert len(edges) == 0 and isinstance(error, cl.PreconditionError)
+
+
 # ---------------------------------------------------------------------------
 # m-set sampler
 # ---------------------------------------------------------------------------
