@@ -399,7 +399,12 @@ class MSetOmd(Learner):
 
     The proximal step solves the cardinality-constrained stationarity
     system with one scalar dual variable (warm-started across rounds) and
-    box clipping; iterates stay strictly inside (0, 1]^d.
+    box clipping; iterates stay inside (0, 1]^d up to underflow.  Between
+    rounds the learner carries the prox's log-domain state ``u``, with
+    ``2m x + ln(2m x) = u`` wherever ``x < 1`` (:func:`mset_prox`), so each
+    step starts from ``u`` instead of taking the log of the iterate, and a
+    coordinate that underflowed to 0 keeps a finite ``u`` and can come
+    back.  The first step, with no state yet, starts from the iterate.
     """
 
     name = "omd-mset"
@@ -412,6 +417,7 @@ class MSetOmd(Learner):
         self.iterate = np.full(decision_set.dimension,
                                self.m / decision_set.dimension)
         self._lam = 0.0
+        self._u = None  # the last step's log-domain state
         self._last = None
         scipy_wrightomega()  # the step's import, paid here
 
@@ -420,8 +426,8 @@ class MSetOmd(Learner):
 
     def _absorb(self, y):
         step = self.eta * y
-        new, self._lam = mset_prox(self.iterate, step, self.m,
-                                   lam_init=self._lam)
+        new, self._lam, self._u = mset_prox(self.iterate, step, self.m,
+                                            lam_init=self._lam, u_old=self._u)
         self._last = (self.iterate, step, new, self._lam)
         self.iterate = new
 

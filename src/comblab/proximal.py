@@ -52,19 +52,28 @@ _mset_prox_compiled = None  # perfbench/run.py reads it for the "backend" field
 # The per-coordinate equation g(x) = t has a closed form: with w = 2m x it
 # reads  w + ln w = m t - 1 + ln(2m),  so  w = omega(u)  with omega the
 # Wright omega function (Corless & Jeffrey, 2002).  The step iterates in
-#     u_i = m (c_i - lam) - 1 + ln(2m) = a_i - m lam,
-#     a_i = 2m x_old_i + ln x_old_i - m step_i + ln(2m),
-# formed once per call; the box cap x_i = 1 is u_i >= 2m + ln(2m), where
-# omega is 2m.  The outer scalar equation s(lam) = sum x(lam) - m = 0 is
-# solved by safeguarded Halley steps (or bisection, kept as the reference
-# mode).  omega's own output gives both derivatives: omega' = w / (1 + w),
-# so over the uncapped coordinates
-#     s'(lam) = -1/2 sum w / (1 + w),   s''(lam) = m/2 sum w / (1 + w)^3,
-# and a Halley step whose denominator 2 s'^2 - s s'' is not positive falls
-# back to Newton.  Every step stays in [lam_min, lam_max], beyond which all
-# coordinates lie on one side of their mean, so the root lies inside:
-# where every coordinate is capped or underflowed, s' = 0 and the step
-# goes to that bound, then halves the bracket.
+#     u_i = min(m (c_i - lam) - 1 + ln(2m), u_cap) = min(a_i - m lam, u_cap),
+# where u_cap = 2m + ln(2m) is the box cap x_i = 1 (omega(u_cap) = 2m), and
+#     a_i = 2m x_old_i + ln x_old_i + ln(2m) - m step_i = u_old_i - m step_i.
+# u_old, the u at which the previous step stopped, is the solver's own
+# state: in exact arithmetic 2m x + ln(2m x) = u at an uncapped coordinate,
+# and both sides read u_cap at a capped one, so the two forms of a agree up
+# to rounding.  A caller that carries u_old (MSetOmd) saves the logarithm,
+# and a coordinate whose x underflowed to 0 keeps a finite u and can come
+# back; without it a is formed from x_old, and a coordinate at 0 stays
+# there (ln 0 = -inf).  The cap is applied, and the capped coordinates
+# masked out of the derivatives, only in iterations where max(a) - m lam
+# reaches u_cap; x = min(w / 2m, 1) always, so rounding never lifts x
+# above 1.  The outer scalar equation s(lam) = sum x(lam) - m = 0 is solved
+# by safeguarded Halley steps (or bisection, kept as the reference mode).
+# omega's own output gives both derivatives: omega' = w / (1 + w), so with
+# rest = 1 / (1 + w) and w read as 0 at the capped coordinates
+#     s'(lam) = -1/2 sum w rest,   s''(lam) = m/2 sum w rest^3,
+# one dot product each.  A Halley step whose denominator 2 s'^2 - s s'' is
+# not positive falls back to Newton.  Every step stays in [lam_min,
+# lam_max], beyond which all coordinates lie on one side of their mean, so
+# the root lies inside: where every coordinate is capped or underflowed,
+# s' = 0 and the step goes to that bound, then halves the bracket.
 
 @functools.cache
 def scipy_wrightomega():
@@ -87,7 +96,7 @@ def _omega_coords(u, m):
     return np.minimum(w / (2.0 * m), 1.0), w
 
 
-def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
+def mset_prox(x_old, step, m, lam_init=0.0, method="newton", u_old=None):
     """The m-set proximal step.
 
     Parameters
@@ -98,35 +107,45 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
     lam_init : warm start for the scalar dual variable.
     method : "newton" (safeguarded Halley steps, Newton where Halley's
         denominator is not positive) or "bisect" (pure bisection reference).
+    u_old : the ``u`` that the step which returned ``x_old`` returned
+        beside it; the step then starts from it instead of from ``x_old``.
 
     Returns
     -------
-    (x, lam) with ``|sum(x) - m| <= SUM_TOL``; raises :class:`SolverFailure`
-    after ``MAX_OUTER`` outer steps.
+    (x, lam, u) with ``|sum(x) - m| <= SUM_TOL`` and ``u`` the log-domain
+    state to pass as the next step's ``u_old``; raises
+    :class:`SolverFailure` after ``MAX_OUTER`` outer steps.
     """
-    x_old = np.asarray(x_old, dtype=float)
-    step = np.asarray(step, dtype=float)
     two_m = 2.0 * m
     log_two_m = math.log(two_m)
-    a = two_m * x_old + np.log(x_old) - m * step + log_two_m
     u_cap = two_m + log_two_m
-    # A coordinate at 0 (underflowed) stays there, since ln 0 = -inf.  Past
-    # these bounds every other one lies on one side of their mean m / size:
-    # s(lam_min) > 0 > s(lam_max).
-    moving = a[a > -np.inf]
-    mean = m / moving.size
+    if u_old is None:  # the state that x_old stands for
+        x_old = np.asarray(x_old, dtype=float)
+        u_old = two_m * x_old + np.log(x_old) + log_two_m
+    a = u_old - m * np.asarray(step, dtype=float)
+    # Past these bounds every coordinate not at 0 lies on one side of their
+    # mean m / size: s(lam_min) > 0 > s(lam_max).
+    a_min, a_max = np.minimum.reduce(a), np.maximum.reduce(a)
+    size = a.size
+    if a_min == -np.inf:  # underflowed coordinates of x_old
+        moving = a[a > -np.inf]
+        a_min, size = np.minimum.reduce(moving), moving.size
+    mean = m / size
     u_mean = two_m * mean + math.log(two_m * mean)
-    lam_min = (moving.min() - u_mean) / m - 1.0
-    lam_max = (moving.max() - u_mean) / m + 1.0
+    lam_min = (a_min - u_mean) / m - 1.0
+    lam_max = (a_max - u_mean) / m + 1.0
 
     lam = float(lam_init)
     lo = hi = None  # s(lo) > 0 > s(hi); s is decreasing in lam
     for _ in range(MAX_OUTER):
-        u = np.minimum(a - m * lam, u_cap)
+        u = a - m * lam
+        capped = a_max - m * lam >= u_cap
+        if capped:
+            np.minimum(u, u_cap, out=u)
         x, w = _omega_coords(u, m)
         s = float(np.add.reduce(x)) - m
         if abs(s) <= SUM_TOL:
-            return x, lam
+            return x, lam, u
         if s > 0:
             lo = lam
         else:
@@ -134,12 +153,15 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton"):
         if method == "bisect" and lo is not None and hi is not None:
             lam = 0.5 * (lo + hi)
             continue
-        free = w[u < u_cap]
-        share = free / (1.0 + free)
-        slope = -0.5 * float(np.add.reduce(share))
+        rest = np.divide(1.0, w + 1.0)  # 1 - share
+        if capped:
+            w[u >= u_cap] = 0.0
+        slope = -0.5 * float(w.dot(rest))
         bracketed = lo is not None and hi is not None
         if slope < 0.0:
-            curve = 0.5 * m * float(np.add.reduce(share / (1.0 + free) ** 2))
+            cube = rest * rest
+            cube *= rest
+            curve = 0.5 * m * float(w.dot(cube))
             denom = 2.0 * slope * slope - s * curve
             cand = (lam - 2.0 * s * slope / denom if denom > 0.0
                     else lam - s / slope)
@@ -216,7 +238,13 @@ def flow_prox_newton(dag, reg, x_start, linear):
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             kkt[:n_edges, :n_edges] += 1e-12 * np.eye(n_edges)
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            try:
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            except np.linalg.LinAlgError as err:  # e.g. NaN once 1/x overflows
+                raise SolverFailure(f"flow Newton's KKT system has no "
+                                    f"least-squares solution: {err}",
+                                    residual=residual,
+                                    iterations=iteration) from err
         p = sol[:n_edges]
         neg = p < 0
         alpha = min(1.0, 0.995 * float((x[neg] / -p[neg]).min(initial=np.inf)))

@@ -264,3 +264,21 @@ def test_entropy_projection_line_search_stall_keeps_its_payload():
         sinkhorn_flow_projection(dag, np.zeros(4))
     assert err.value.iterations == 2
     assert 1e-10 < err.value.residual < np.inf
+
+
+def test_flow_newton_kkt_failure_keeps_its_payload():
+    # A step of 30 standard normals drives this graph's iterate out of the
+    # float range: at iteration 134 the slope is NaN, the step is taken as
+    # is, and the KKT matrix fills with NaN.  Its least-squares fallback
+    # then fails inside LAPACK; that must reach the caller as a
+    # SolverFailure with its payload, not as numpy's LinAlgError.
+    dag = random_layered_dag(RngStream(9, 37), max_edges=16, max_layers=4)
+    linear = 30 * RngStream(9, 137).generator.standard_normal(dag.n_edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow in 1 / x
+        with pytest.raises(SolverFailure, match="no least-squares solution"
+                           ) as err:
+            flow_prox_newton(dag, DilatedEntropy(dag), uniform_path_flow(dag),
+                             linear)
+    assert err.value.iterations == 136
+    assert err.value.residual is not None  # NaN, as the iterate is

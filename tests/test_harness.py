@@ -1009,6 +1009,16 @@ def test_equivalence_diamond_random_stream():
     assert rep.gaps.shape == (50,)
 
 
+def test_dag_minimax_demo_certifies_its_equal_columns():
+    # hedge-dag and omd-dilated both run PathHedge, so the demo's two
+    # columns are equal by construction; the numeric KKT route certifies
+    # the equality within the checker's default tolerance.
+    res = cl.lb_demo("dag-minimax", seed=1010)
+    measured = res["measured"]
+    assert measured["hedge-dag"] == measured["omd-dilated"]
+    assert 0.0 < res["iterate_equivalence_max_gap"] <= 1e-6
+
+
 def test_equivalence_solver_failure_propagates():
     dag = diamond_dag()
     stream = cl.ConstantStream(np.array([0.5, 0.0, 0.5, 0.0]), 3)

@@ -239,8 +239,8 @@ def test_prox_newton_vs_bisection():
     for _ in range(50):
         y = random_feasible_loss(dset, rng)
         step = 0.2 * y
-        a, lam = mset_prox(x, step, 4)
-        c, _ = mset_prox(x, step, 4, method="bisect")
+        a, lam, _ = mset_prox(x, step, 4)
+        c, _, _ = mset_prox(x, step, 4, method="bisect")
         stat, card = mset_prox_kkt_residual(a, x, step, 4, lam)
         assert stat <= 1e-9 and card <= 1e-12
         assert np.max(np.abs(a - c)) <= 1e-10
@@ -251,7 +251,7 @@ def test_prox_handles_box_cap():
     # A steep pull toward one coordinate must clip at 1 and keep the sum.
     x = np.full(4, 0.5)
     step = np.array([-8.0, 0.0, 0.0, 0.0])
-    out, lam = mset_prox(x, step, 2)
+    out, lam, _ = mset_prox(x, step, 2)
     assert out[0] == pytest.approx(1.0, abs=1e-12)
     assert out.sum() == pytest.approx(2.0, abs=1e-12)
     assert np.all(out > 0)
@@ -283,11 +283,11 @@ def test_prox_at_the_edges_of_its_range(d, m):
     for x_old, step in _prox_edge_cases(d, m):
         a = 2.0 * m * x_old + np.log(x_old) - m * step
         assert np.ptp(a) < 600.0  # so every solution coordinate is normal
-        x, lam = mset_prox(x_old, step, m)
+        x, lam, _ = mset_prox(x_old, step, m)
         stat, card = mset_prox_kkt_residual(x, x_old, step, m, lam)
         assert stat <= 1e-11 and card <= SUM_TOL
         assert np.all(x >= np.finfo(float).tiny) and np.all(x <= 1.0)
-        ref, _ = mset_prox(x_old, step, m, method="bisect")
+        ref, _, _ = mset_prox(x_old, step, m, method="bisect")
         assert np.max(np.abs(x - ref)) <= 1e-10
 
 
@@ -296,11 +296,11 @@ def test_prox_keeps_underflowed_coordinates_at_zero():
     # steps of 50 at m = 16 send half the coordinates below the float range;
     # the next step starts from those zeros, which stay 0 (ln 0 = -inf)
     step = np.tile([50.0, -50.0], 16)
-    x, lam = mset_prox(np.full(32, 0.5), step, 16)
+    x, lam, _ = mset_prox(np.full(32, 0.5), step, 16)
     assert np.count_nonzero(x == 0.0) == 16
     for x_old, lam_init in ((x, lam), (x, 0.0)):
-        y, _ = mset_prox(x_old, -step, 16, lam_init=lam_init)
-        ref, _ = mset_prox(x_old, -step, 16, method="bisect")
+        y, _, _ = mset_prox(x_old, -step, 16, lam_init=lam_init)
+        ref, _, _ = mset_prox(x_old, -step, 16, method="bisect")
         assert np.array_equal(y == 0.0, x == 0.0)
         assert abs(y.sum() - 16) <= SUM_TOL
         assert np.max(np.abs(y - ref)) <= 1e-10
@@ -320,7 +320,7 @@ def test_prox_kkt_residual_reads_the_cap_multiplier():
     # the cap's multiplier mu >= 0 makes the residual -mu at a capped
     # coordinate: a negative one is slack, a positive one a violation
     x_old, step = np.full(4, 0.5), np.array([-8.0, 0.0, 0.0, 0.0])
-    x, lam = mset_prox(x_old, step, 2)
+    x, lam, _ = mset_prox(x_old, step, 2)
     assert x[0] == 1.0
     assert mset_prox_kkt_residual(x, x_old, step, 2, lam)[0] <= 1e-12
     assert mset_prox_kkt_residual(x, x_old, -step, 2, lam)[0] >= 1.0
@@ -365,6 +365,81 @@ def test_omd_iterates_stay_interior_under_attack():
         learner.step(killer.loss(t))
         assert learner.iterate.min() > 0
         assert abs(learner.iterate.sum() - 2) <= 1e-9
+
+
+def _x_based_prox(x_old, step, m, lam):
+    """The m-set step as it was before ``MSetOmd`` carried ``u``: ``a``
+    formed from ``ln x_old`` each call, ``u`` capped in every iteration and
+    the derivatives summed over the uncapped coordinates only."""
+    two_m, log_two_m = 2.0 * m, math.log(2.0 * m)
+    a = two_m * x_old + np.log(x_old) - m * step + log_two_m
+    u_cap = two_m + log_two_m
+    u_mean = two_m * m / a.size + math.log(two_m * m / a.size)
+    lam_min, lam_max = (a.min() - u_mean) / m - 1.0, (a.max() - u_mean) / m + 1.0
+    lo = hi = None
+    for _ in range(500):
+        u = np.minimum(a - m * lam, u_cap)
+        x, w = _omega_coords(u, m)
+        s = float(np.add.reduce(x)) - m
+        if abs(s) <= SUM_TOL:
+            return x, lam
+        lo, hi = (lam, hi) if s > 0 else (lo, lam)
+        free = w[u < u_cap]
+        share = free / (1.0 + free)
+        slope = -0.5 * float(np.add.reduce(share))
+        bracketed = lo is not None and hi is not None
+        if slope < 0.0:
+            curve = 0.5 * m * float(np.add.reduce(share / (1.0 + free) ** 2))
+            denom = 2.0 * slope * slope - s * curve
+            cand = (lam - 2.0 * s * slope / denom if denom > 0.0
+                    else lam - s / slope)
+        elif bracketed:
+            cand = 0.5 * (lo + hi)
+        else:
+            cand = lam_max if s > 0 else lam_min
+        cand = min(max(cand, lam_min), lam_max)
+        lam = 0.5 * (lo + hi) if bracketed and not lo < cand < hi else cand
+    raise AssertionError("the reference step did not converge")
+
+
+@pytest.mark.parametrize("set_spec", ["mset:16:4", "mset:32:8", "mset:64:8"])
+@pytest.mark.parametrize("adversary",
+                         ["universal", "mset-lb", "hedge-killer", "gaussian"])
+def test_omd_policies_are_those_of_the_x_based_step(set_spec, adversary):
+    # Stepping from the carried u instead of from ln x moves the policies
+    # by rounding only.
+    horizon = 160
+    dset = cl.build_set(set_spec)
+    learner = cl.build_learner("omd-mset", dset, horizon)
+    stream = cl.build_adversary(adversary, dset, horizon, learner.eta)(
+        RngStream(27, 0, 0))
+    x, lam = learner.iterate.copy(), 0.0
+    for t in range(1, horizon + 1):
+        assert np.max(np.abs(learner.propose() - x)) <= 1e-12
+        y = stream.loss(t)
+        learner.absorb(y)
+        x, lam = _x_based_prox(x, learner.eta * y, dset.m, lam)
+
+
+def test_omd_brings_underflowed_coordinates_back():
+    # Eight steps of +-50 at m = 16 send the even-indexed coordinates below
+    # the float range; steps the other way then bring every one of them
+    # back, up to the cap.  From ln x, ln 0 = -inf would hold them at 0
+    # (test_prox_keeps_underflowed_coordinates_at_zero).
+    learner = cl.MSetOmd(cl.MSet(32, 16), 50.0)
+    y = np.tile([1.0, -1.0], 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(8):
+            learner.absorb(y)
+        zeroed = learner.iterate == 0.0
+        assert np.count_nonzero(zeroed) == 16
+        learner.absorb(-y)
+        assert np.all(learner.iterate[zeroed] > 0.0)
+        for _ in range(39):
+            learner.absorb(-y)
+    assert np.all(learner.iterate[zeroed] == 1.0)
+    assert abs(learner.iterate.sum() - 16) <= SUM_TOL
 
 
 # ---------------------------------------------------------------------------
