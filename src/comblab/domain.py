@@ -9,10 +9,10 @@ variants are supported:
 * :class:`DagPathSet` -- edge indicators of s-t paths in a DAG.
 
 A multitask set is the path set of a chain of parallel-edge bundles, so it
-takes its count, enumeration and dual-norm extremes from the same DAG code
-as a path set (:class:`PathSetMixin`).  Every set's best values are the
-minima of those extremes, but for path sets, whose ``best_vertex`` takes a
-dot product.
+takes its count, enumeration, dual-norm extremes and best values from the
+same DAG code as a path set (:class:`PathSetMixin`): one forward min pass,
+which sums each path in path order and calls no BLAS kernel.  Every other
+set's best values are the minima of its extremes.
 
 Loss vectors are constrained so that every action's per-round loss lies in
 [-1, 1]; equivalently the dual norm ``max_x |<x, y>|`` is at most one.  All
@@ -174,52 +174,38 @@ class Dag:
 
     def extreme_path(self, y):
         """A shortest s-t path under edge weights ``y``, as an edge
-        indicator (a longest one under ``-y``): the row of
-        :meth:`extreme_paths`."""
-        return self.extreme_paths(np.asarray(y, dtype=float)[None])[0]
-
-    def extreme_paths(self, ys):
-        """A shortest s-t path under each row of the ``(k, n_edges)``
-        weights ``ys``, as the rows of a ``(k, n_edges)`` edge indicator.
+        indicator (a longest one under ``-y``).
 
         Ties are broken toward the lowest edge index at each divergence, so
-        each result is the first optimal path in enumeration order.  One
-        ``semiring_pass`` gives every row's ``best`` to the sink.  Each
-        vertex ``u`` of each row is left by its lowest out-edge ``e = (u,
-        v)`` with ``y[e] + best[v] == best[u]``, found for all vertices at
-        once, one argmax per out-degree group of ``draw_layout``; then all
-        rows walk from the source together, one hop per step.  Each
-        ``best[u]`` is one of the sums compared with it, so some out-edge
-        matches unless the weight is NaN.
+        the result is the first optimal path in enumeration order.  The
+        walk leaves each vertex ``u`` by its lowest out-edge ``e = (u, v)``
+        with ``y[e] + best[v] == best[u]``.  Each ``best[u]`` is one of the
+        sums compared with it, so some out-edge matches unless the weight
+        is NaN or ``u`` is a dead end, which the walk meets only where
+        every path from the source weighs +inf.
         """
-        ys = np.asarray(ys, dtype=float)
-        best = self.semiring_pass(ys.T, np.minimum)[0].T
-        if np.isnan(best[:, self.source]).any():  # +inf and -inf on one path
+        y = np.asarray(y, dtype=float)
+        best, _ = self.semiring_pass(y, np.minimum)
+        if np.isnan(best[self.source]):  # +inf and -inf on one path
             raise PreconditionError("s-t path weight is NaN")
-        tails, heads = self.compiled.tails, self.compiled.heads
-        tight = ys + best[:, heads] == best[:, tails]
-        groups, (ones, one_edge), *_ = self.draw_layout
-        # edge n_edges is a stop, taken at the sink and at any dead end
-        leave = np.full((len(ys), self.n_vertices), self.n_edges)
-        leave[:, ones] = one_edge
-        for verts, edges in groups:
-            first = tight[:, edges].argmax(axis=2)
-            leave[:, verts] = edges[np.arange(len(verts)), first]
-        leave[:, self.sink] = self.n_edges
-        head = np.append(heads, self.sink)
-        x = np.zeros((len(ys), self.n_edges + 1))
-        rows, u = np.arange(len(ys)), np.full(len(ys), self.source)
-        for _ in range(max(self._kahn_levels[1])):  # the most hops a path has
-            e = leave[rows, u]
-            x[rows, e] = 1.0
-            u = head[e]
-        return x[:, :-1]
+        x = np.zeros(self.n_edges)
+        u = self.source
+        while u != self.sink:
+            for e in self.out_edges[u]:
+                v = self.edges[e][1]
+                if y[e] + best[v] == best[u]:
+                    x[e] = 1.0
+                    u = v
+                    break
+            else:
+                raise PreconditionError(f"vertex {u} has no path to the sink")
+        return x
 
     @functools.cached_property
     def draw_layout(self):
         """The out-stars grouped by out-degree, for the path draws of
-        ``sampling`` and ``extreme_paths``: ``(groups, singles, lo, hi,
-        edge_at, head_at, dead_ends)``.
+        ``sampling``: ``(groups, singles, lo, hi, edge_at, head_at,
+        dead_ends)``.
 
         ``groups`` holds ``(vertices, edges)`` per out-degree ``k >= 2``,
         smallest first: the vertices of that degree and their out-edges, a
@@ -527,7 +513,8 @@ class DecisionSet:
     def best_values(self, cum_losses):
         """``best_vertex(row)[1]`` of every row of the ``(k, d)`` array
         ``cum_losses``, bit for bit: the minima of ``_extreme_products``,
-        which sum as ``best_vertex`` does."""
+        which sum as ``best_vertex`` does.  Path sets take the min pass that
+        their extremes come from (:class:`PathSetMixin`)."""
         return self._extreme_products(cum_losses)[0]
 
 
@@ -535,6 +522,9 @@ class ExplicitSet(DecisionSet):
     """Decision set given by an explicit list of distinct binary vectors."""
 
     def __init__(self, vectors):
+        lengths = sorted({np.size(v) for v in vectors})
+        if len(lengths) > 1:
+            raise PreconditionError(f"vertices of unequal lengths {lengths}")
         mat = np.asarray(vectors, dtype=float)
         if mat.ndim != 2 or mat.shape[0] == 0:
             raise PreconditionError("need a non-empty 2-D array of vertices")
@@ -609,10 +599,12 @@ class MSet(DecisionSet):
 
 
 class PathSetMixin:
-    """Count, enumeration and extremes of a set whose vertices are the s-t
-    paths of ``self.dag``, edge ``e`` carrying coordinate ``e``.  Not a
-    :class:`DecisionSet`: perfbench's tracer wraps the ``best_vertex`` that
-    each of those defines."""
+    """Count, enumeration, extremes and hindsight of a set whose vertices
+    are the s-t paths of ``self.dag``, edge ``e`` carrying coordinate
+    ``e``.  Every value is the minimum over paths of the path-order sum,
+    from one forward min pass.  Not a :class:`DecisionSet`: perfbench's
+    tracer wraps the ``best_vertex`` that each of those defines, so each
+    takes this one by name."""
 
     def count(self):
         return self.dag.path_count()
@@ -620,11 +612,20 @@ class PathSetMixin:
     def enumerate_vertices(self):
         return self.dag.enumerate_paths()
 
+    def best_values(self, cum_losses):
+        _, lo = self.dag.semiring_pass(np.asarray(cum_losses, dtype=float).T,
+                                       np.minimum)
+        return lo[self.dag.sink]
+
+    def best_vertex(self, cum_loss):
+        cum_loss = np.asarray(cum_loss, dtype=float)
+        return (self.dag.extreme_path(cum_loss),
+                float(self.best_values(cum_loss[None])[0]))
+
     def _extreme_products(self, zs):
-        # one min-pass over the rows and their negations: max <x, z> is
-        # -min <x, -z>, exactly but for the sign of a zero
-        _, lo = self.dag.semiring_pass(np.vstack([zs, -zs]).T, np.minimum)
-        lo = lo[self.dag.sink]
+        # the rows and their negations: max <x, z> is -min <x, -z>, exactly
+        # but for the sign of a zero
+        lo = self.best_values(np.vstack([zs, -zs]))
         return lo[:len(zs)], -lo[len(zs):]
 
 
@@ -639,9 +640,6 @@ class MultitaskSet(PathSetMixin, DecisionSet):
             raise PreconditionError("each block needs at least 2 experts")
         self.block_sizes = sizes
         self.dimension = sum(sizes)
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        self.block_slices = [slice(int(starts[i]), int(starts[i + 1]))
-                             for i in range(len(sizes))]
         edges = [(b, b + 1) for b, size in enumerate(sizes)
                  for _ in range(size)]
         self.dag = Dag(len(sizes) + 1, edges, 0, len(sizes))
@@ -650,15 +648,7 @@ class MultitaskSet(PathSetMixin, DecisionSet):
     def log_count(self):  # a sum of logs: it fixes eta bit for bit
         return sum(math.log(b) for b in self.block_sizes)
 
-    def best_vertex(self, cum_loss):
-        cum_loss = np.asarray(cum_loss, dtype=float)
-        x = np.zeros(self.dimension)
-        total = 0.0
-        for sl in self.block_slices:
-            j = int(np.argmin(cum_loss[sl]))  # argmin takes first on ties
-            x[sl.start + j] = 1.0
-            total += float(cum_loss[sl.start + j])
-        return x, total
+    best_vertex = PathSetMixin.best_vertex
 
 
 class DagPathSet(PathSetMixin, DecisionSet):
@@ -672,15 +662,7 @@ class DagPathSet(PathSetMixin, DecisionSet):
         self.dimension = dag.n_edges
         self.path_embedding = (dag, np.arange(dag.n_edges))
 
-    def best_vertex(self, cum_loss):
-        x = self.dag.extreme_path(cum_loss)
-        return x, float(x @ np.asarray(cum_loss, dtype=float))
-
-    def best_values(self, cum_losses):
-        # one batched walk; each value is the 1-D dot that best_vertex takes
-        cum_losses = np.asarray(cum_losses, dtype=float)
-        paths = self.dag.extreme_paths(cum_losses)
-        return np.array([float(x @ c) for x, c in zip(paths, cum_losses)])
+    best_vertex = PathSetMixin.best_vertex
 
 
 class SelectionDag(Dag):

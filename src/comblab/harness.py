@@ -153,10 +153,11 @@ def _flag(text):
 
 
 def _vertex_file(path):
+    """Rows of 0/1 entries split on any whitespace, or written ``101``."""
     with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    return [[int(b) for b in (line.split() if " " in line else line)]
-            for line in lines if line and not line.startswith("#")]
+        rows = [line.split() for line in fh]
+    return [[int(b) for b in (row if len(row) > 1 else row[0])]
+            for row in rows if row and not row[0].startswith("#")]
 
 
 def _loss_file(path):
@@ -426,8 +427,8 @@ def run_experiment(config, decision_set=None):
     on DAG paths by ``sample_path``) and charged instead.  Losses are
     checked and scored per trial: before round 1 the trial's T losses are
     stacked, checked in one batched ``validate_losses`` and their running
-    sums scored in one batched ``best_values`` (on DAG sets one
-    shortest-path pass and one walk for every prefix), so regret curves
+    sums scored in one batched ``best_values`` (on DAG and multitask sets
+    one forward shortest-path pass for every prefix), so regret curves
     are exact at every horizon.  A
     running sum that is not finite raises :class:`PreconditionError`.  The
     same prefix sums plan every :class:`PathHedge` outside m-sets

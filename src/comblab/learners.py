@@ -425,18 +425,20 @@ class MSetOmd(Learner):
         return self.iterate.copy()
 
     def _absorb(self, y):
-        step = self.eta * y
+        step, u_old = self.eta * y, self._u
         new, self._lam, self._u = mset_prox(self.iterate, step, self.m,
-                                            lam_init=self._lam, u_old=self._u)
-        self._last = (self.iterate, step, new, self._lam)
+                                            lam_init=self._lam, u_old=u_old)
+        self._last = (self.iterate, step, new, self._lam, u_old)
         self.iterate = new
 
     def kkt_residual(self):
-        """(stationarity, cardinality) residuals of the last proximal step."""
+        """(stationarity, cardinality) residuals of the last proximal step,
+        measured from the state it started from: its ``u_old``, or the
+        iterate on the first step."""
         if self._last is None:
             return 0.0, 0.0
-        x_old, step, x_new, lam = self._last
-        return mset_prox_kkt_residual(x_new, x_old, step, self.m, lam)
+        x_old, step, x_new, lam, u_old = self._last
+        return mset_prox_kkt_residual(x_new, x_old, step, self.m, lam, u_old)
 
     def sample(self, rng):
         return sample_mset(self.iterate, self.m, rng)

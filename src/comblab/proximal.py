@@ -177,14 +177,24 @@ def mset_prox(x_old, step, m, lam_init=0.0, method="newton", u_old=None):
                         residual=abs(s), iterations=MAX_OUTER)
 
 
-def mset_prox_kkt_residual(x_new, x_old, step, m, lam):
-    """Stationarity residual of the returned point.  At a capped coordinate
-    the residual is ``-mu`` for the cap's multiplier ``mu >= 0``, so only
-    its positive part counts."""
-    g_new = 2.0 * x_new + (np.log(x_new) + 1.0) / m
-    g_old = 2.0 * x_old + (np.log(x_old) + 1.0) / m
-    res = g_new - g_old + step + lam
-    capped = x_new >= 1.0 - 1e-12
+def mset_prox_kkt_residual(x_new, x_old, step, m, lam, u_old=None):
+    """Stationarity residual ``g(x) - g(x_old) + step + lam`` of the
+    returned point; given the ``u_old`` the step started from, ``(2m x +
+    ln(2m x) - (u_old - m step - m lam)) / m``, the same with ``u_old`` in
+    place of its ``x_old`` form.  At a capped coordinate the residual is
+    ``-mu`` for the cap's multiplier ``mu >= 0``, so only its positive part
+    counts; coordinates that underflowed to 0 are left out."""
+    moving = x_new > 0.0
+    x, step = x_new[moving], step[moving]
+    if u_old is None:
+        x_old = x_old[moving]
+        g_new = 2.0 * x + (np.log(x) + 1.0) / m
+        g_old = 2.0 * x_old + (np.log(x_old) + 1.0) / m
+        res = g_new - g_old + step + lam
+    else:
+        w = 2.0 * m * x
+        res = (w + np.log(w) - (u_old[moving] - m * step - m * lam)) / m
+    capped = x >= 1.0 - 1e-12
     res = np.where(capped, np.maximum(res, 0.0), res)  # res = -mu <= 0 at cap
     return float(np.max(np.abs(res))), float(abs(x_new.sum() - m))
 

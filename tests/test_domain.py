@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,6 +275,49 @@ def test_best_values_match_best_vertex_bit_for_bit():
             assert dset.best_values(cum).tobytes() == want.tobytes()
 
 
+def _path_order_sum(dag, x, y):
+    """``<x, y>`` summed left to right along the path ``x``, from 0."""
+    total, u = 0.0, dag.source
+    while u != dag.sink:
+        e = next(e for e in dag.out_edges[u].tolist() if x[e])
+        total += y[e]
+        u = dag.edges[e][1]
+    return total
+
+
+def test_path_set_best_values_are_the_least_path_order_sums():
+    sets = [cl.build_set("dag-layered:16:32"), cl.build_set("multitask:2,4,8")]
+    sets += [cl.DagPathSet(random_layered_dag(RngStream(61, i), max_edges=14))
+             for i in range(6)]
+    for dset in sets:
+        stream = cl.build_adversary("gaussian", dset, 60)(RngStream(62, 0))
+        cum = np.cumsum([stream.loss(t) for t in range(1, 61)], axis=0)
+        dag, paths = dset.dag, dset.enumerate_vertices()
+        want = [min(_path_order_sum(dag, x, c) for x in paths) for c in cum]
+        assert dset.best_values(cum).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_dag_hindsight_does_not_depend_on_the_blas_kernel():
+    # OpenBLAS's Haswell kernel sums a dot product in another order than
+    # its AVX-512 one, so no hindsight value may call BLAS
+    config = ("cl.ExperimentConfig('dag-layered:64:4096', ['hedge-dag'], "
+              "'gaussian', horizon=512, trials=2, seed=5)")
+    code = ("import sys\n"
+            "import comblab as cl\n"
+            f"ledgers = cl.run_experiment({config}).ledgers['hedge-dag']\n"
+            "sys.stdout.buffer.write(b''.join(led.cum_best.tobytes() "
+            "for led in ledgers))\n")
+    src = str(pathlib.Path(cl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    ledgers = cl.run_experiment(eval(config)).ledgers["hedge-dag"]
+    assert proc.stdout == b"".join(led.cum_best.tobytes() for led in ledgers)
+
+
 # ---------------------------------------------------------------------------
 # DAG validation and flows
 # ---------------------------------------------------------------------------
@@ -508,13 +556,10 @@ def test_extreme_paths_match_the_loop_row_by_row():
                 y = gen.integers(-2, 3, size=dag.n_edges).astype(float)
                 y[gen.random(dag.n_edges) < 0.3] = inf
                 rows.append(y)
-        ys = np.array(rows)
-        for sign, mode in ((1.0, "min"), (-1.0, "max")):
-            paths = dag.extreme_paths(sign * ys)
-            assert paths.shape == ys.shape
-            for x, y in zip(paths, ys):
-                assert np.array_equal(x, _loop_extreme_path(dag, y, mode))
-        assert dag.extreme_paths(ys[:0]).shape == (0, dag.n_edges)
+        for y in rows:
+            for sign, mode in ((1.0, "min"), (-1.0, "max")):
+                assert np.array_equal(dag.extreme_path(sign * y),
+                                      _loop_extreme_path(dag, y, mode))
 
 
 def test_extreme_path_rejects_a_nan_path_weight():
@@ -522,6 +567,14 @@ def test_extreme_path_rejects_a_nan_path_weight():
     with np.errstate(invalid="ignore"), \
             pytest.raises(cl.PreconditionError, match="NaN"):
         chain_dag(2).extreme_path(np.array([np.inf, -np.inf]))
+
+
+def test_extreme_path_stops_at_a_dead_end():
+    # every path weighs +inf, so the walk may take edge 0 into vertex 1,
+    # which has no out-edge: it raises there instead of walking on
+    dag = cl.Dag(3, [(0, 1), (0, 2)], 0, 2)
+    with pytest.raises(cl.PreconditionError, match="vertex 1 has no path"):
+        dag.extreme_path(np.array([0.0, np.inf]))
 
 
 def test_extreme_path_ties_go_to_the_lowest_edge():

@@ -68,6 +68,7 @@ def test_build_learner_specs_and_rates():
     ("set", "mset:16"), ("set", "mset:a:b"), ("set", "mset:16:4:9"),
     ("set", "mset:16:4:x=1"),
     ("set", "dag:{tmp}/missing.dag"), ("set", "explicit:{tmp}/missing.txt"),
+    ("set", "explicit:{tmp}/ragged.txt"),
     ("learner", "hedge:eta=abc"), ("learner", "hedge:foo=1"),
     ("learner", "omd-mset:numeric=1"), ("learner", "omd-dilated:numeric=2"),
     ("adversary", "hedge-killer:eta=zz"), ("adversary", "universal:seed=x"),
@@ -80,6 +81,7 @@ def test_build_learner_specs_and_rates():
 ])
 def test_malformed_specs_raise_precondition(tmp_path, slot, spec):
     (tmp_path / "three.txt").write_text("0.1 0.2 0.3\n")
+    (tmp_path / "ragged.txt").write_text("1 0 1\n0 1\n")
     spec = spec.format(tmp=tmp_path)
     parts = {"set": "mset:16:4", "learner": "hedge", "adversary": "universal",
              "seed": "0"}
@@ -90,6 +92,13 @@ def test_malformed_specs_raise_precondition(tmp_path, slot, spec):
             seed=int(parts["seed"])))
     if slot in ("learner", "adversary"):  # built inside the trial, before round 1
         assert (info.value.trial, info.value.round) == (0, 0)
+
+
+def test_vertex_files_split_rows_on_any_whitespace(tmp_path):
+    p = tmp_path / "tabs.txt"
+    p.write_text("# three of the cube\n1\t0\t1\n0 \t1  1\n\n110\n")
+    ex = cl.build_set(f"explicit:{p}")
+    assert ex.vertices.tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
 
 
 @pytest.mark.parametrize("eta", ["0", "nan", "inf"])

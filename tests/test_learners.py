@@ -442,6 +442,33 @@ def test_omd_brings_underflowed_coordinates_back():
     assert abs(learner.iterate.sum() - 16) <= SUM_TOL
 
 
+def test_omd_kkt_residual_stays_finite_through_underflow():
+    # the steps of test_omd_brings_underflowed_coordinates_back: half the
+    # coordinates underflow to 0, then come back, and ln 0 is never taken
+    learner = cl.MSetOmd(cl.MSet(32, 16), 50.0)
+    y = np.tile([1.0, -1.0], 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sign in [1.0] * 10 + [-1.0] * 10:
+            learner.absorb(sign * y)
+            stat, card = learner.kkt_residual()
+            assert stat <= 1e-9 and card <= SUM_TOL
+    assert np.all(learner.iterate[::2] == 1.0)
+
+
+def test_omd_kkt_residual_from_u_is_the_x_based_one():
+    dset = cl.build_set("mset:16:4")
+    learner = cl.build_learner("omd-mset", dset, 100)
+    stream = cl.build_adversary("gaussian", dset, 100)(RngStream(63, 0))
+    for t in range(1, 101):
+        learner.step(stream.loss(t))
+        x_old, step, x_new, lam, _ = learner._last
+        assert x_new.min() > 0.0  # nothing underflows
+        want = mset_prox_kkt_residual(x_new, x_old, step, 4, lam)
+        got = learner.kkt_residual()
+        assert abs(got[0] - want[0]) <= 1e-12 and got[1] == want[1]
+
+
 # ---------------------------------------------------------------------------
 # dilated-entropy mirror descent on DAGs
 # ---------------------------------------------------------------------------
