@@ -22,6 +22,7 @@ operations here are pure functions of their inputs.
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ _SEMIRING_ZERO = {np.logaddexp: -np.inf, np.minimum: np.inf, np.maximum: -np.inf
 # ---------------------------------------------------------------------------
 # DAG
 # ---------------------------------------------------------------------------
+
+#: ``Dag.draw_layout``: the out-stars of a graph as the path draws read them.
+DrawLayout = namedtuple("DrawLayout", "groups singles start heads branching")
+
 
 @dataclass(frozen=True)
 class CompiledDag:
@@ -157,21 +162,6 @@ class Dag:
         """Number of s-t paths."""
         return self.paths_to_sink()[self.source]
 
-    @functools.cached_property
-    def hop_count(self):
-        """The number of hops that every walk from the source takes to the
-        sink, or None where two walks take different counts or one cannot
-        reach the sink.  On a graph whose every vertex lies on an s-t path,
-        that is the common hop count of its s-t paths.  One min pass and
-        one max pass over unit weights give it, on first use."""
-        ones = np.ones(self.n_edges)
-        fewest, reached = self.semiring_pass(ones, np.minimum)
-        most, _ = self.semiring_pass(ones, np.maximum)
-        walked = reached < np.inf  # the vertices a walk from the source meets
-        if not np.array_equal(fewest[walked], most[walked]):
-            return None  # unequal, or +inf and -inf where the sink is cut off
-        return int(fewest[self.source])
-
     def extreme_path(self, y):
         """A shortest s-t path under edge weights ``y``, as an edge
         indicator (a longest one under ``-y``).
@@ -204,40 +194,34 @@ class Dag:
     @functools.cached_property
     def draw_layout(self):
         """The out-stars grouped by out-degree, for the path draws of
-        ``sampling``: ``(groups, singles, lo, hi, edge_at, head_at,
-        dead_ends)``.
+        ``sampling``, as a :class:`DrawLayout`.
 
         ``groups`` holds ``(vertices, edges)`` per out-degree ``k >= 2``,
-        smallest first: the vertices of that degree and their out-edges, a
-        ``(len(vertices), k)`` array in edge order.  Their rows fill the
-        first slots in turn, one slot per edge, and each vertex of
-        out-degree 1 takes one slot after them; ``singles`` is ``(vertices,
-        edges)`` of those.  ``edge_at`` and ``head_at`` give each slot's
-        edge and its head.  With the rows' CDFs laid out flat, vertex ``u``
-        leaves by the slot ``bisect_right(cdf, r, lo[u], hi[u])`` of a
-        uniform ``r`` in [0, 1), with ``hi[u] = lo[u] + k - 1``: the last
-        entry of a row's CDF is 1, above any ``r``, so it is never read,
-        and a vertex of out-degree 1 reads none.  ``dead_ends`` are the
-        vertices other than the sink with no out-edge.
+        smallest first: the vertices of that degree, ascending, and their
+        out-edges, a ``(len(vertices), k)`` array in edge order.  A draw
+        takes one uniform for each of these ``branching`` vertices, in
+        that order.  ``singles`` is ``(vertices, edges)`` of the vertices
+        of out-degree 1 and their edges.  ``start`` gives each vertex of
+        out-degree 1 its edge and every other vertex -1, and ``heads``
+        lists the head of every edge.
         """
-        n = self.n_vertices
-        degree = [len(ix) for ix in self.out_edges]
-        lo, hi, edge_at, groups = [0] * n, [0] * n, [], []
-        for k in [*sorted(set(degree) - {0, 1}), 1]:  # out-degree 1 last
-            verts = [u for u in range(n) if degree[u] == k]
-            start = len(edge_at)
-            for u in verts:
-                lo[u], hi[u] = len(edge_at), len(edge_at) + k - 1
-                edge_at += self.out_edges[u].tolist()
-            verts = np.array(verts, dtype=np.intp)
-            edges = np.array(edge_at[start:], dtype=np.intp).reshape(-1, k)
-            if k > 1:
-                groups.append((verts, edges))
-        heads = [v for _, v in self.edges]
-        dead_ends = frozenset(u for u in range(n)
-                              if degree[u] == 0 and u != self.sink)
-        return (groups, (verts, edges[:, 0]), lo, hi, edge_at,
-                [heads[e] for e in edge_at], dead_ends)
+        by_degree = {}
+        for u, out in enumerate(self.out_edges):
+            by_degree.setdefault(len(out), []).append(u)
+
+        def stars(k):
+            verts = by_degree.get(k, [])
+            edges = [self.out_edges[u] for u in verts]
+            return (np.array(verts, dtype=np.intp),
+                    np.array(edges, dtype=np.intp).reshape(len(verts), k))
+
+        groups = [stars(k) for k in sorted(by_degree) if k >= 2]
+        verts, edges = stars(1)
+        start = np.full(self.n_vertices, -1, dtype=np.intp)
+        start[verts] = edges[:, 0]
+        return DrawLayout(groups, (verts, edges[:, 0]), start,
+                          [v for _, v in self.edges],
+                          sum(len(verts) for verts, _ in groups))
 
     @functools.cached_property
     def compiled(self):

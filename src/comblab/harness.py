@@ -435,12 +435,9 @@ def run_experiment(config, decision_set=None):
     (:meth:`PathHedge.plan`): its policies come from one weight-pushing pass
     per chunk of ``PLAN_ENTRIES // E`` rounds on a graph of ``E`` edges,
     shared by the learners of one rate, in place of one pass per learner
-    and round.  In sampled mode the plan also builds the CDF tables of the
-    path draws once per chunk (``path_cdfs``).  Where all paths take the
-    same number of hops, each learner walks the chunk's rounds at once, by
-    one batch of uniforms of its own stream (``walk_paths``); elsewhere it
-    walks one row per round.  Either way the paths and the sampler state
-    are those of ``sample_path`` per round.  On
+    and round.  In sampled mode each learner draws a chunk's paths in one
+    ``draw_paths`` call, by one batch of uniforms of its own stream, so the
+    paths and the sampler state are those of ``sample_path`` per round.  On
     m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
     so they stay per round.  The loop asks the stream for each round's
     loss again, and from the first loss that fails the check it calls

@@ -17,20 +17,17 @@ O(m) numpy calls.  A :class:`PathHedge` told its trial's prefix sums in
 advance (:meth:`PathHedge.plan`) plays from a :class:`HedgePlan`: one pass
 over an ``(E, k)`` array per chunk of ``k = PLAN_ENTRIES // E`` rounds,
 shared by every planned learner of the same rate.  When such a learner
-samples, the plan also builds the CDF tables of the chunk's path draws in
-one batched pass (:func:`path_cdfs`).  Where every path takes the same
-number of hops (``Dag.hop_count``), the learner's first draw in a chunk
-takes the uniforms of all its remaining rounds in one call and walks them
-together (:func:`walk_paths`); elsewhere each round walks its own row
-(:func:`walk_path`).  Either way the draws are those of :func:`sample_path`
-on each round's flow, without a table build per round.  Mirror descent
-with dilated entropy has the same iterates, so the ``omd-dilated`` spec
-runs it too; :class:`DilatedOmd` is the numeric KKT route kept to certify
-that.  Other sets use :class:`ExplicitHedge`, one weight per enumerated
-vertex.  All weight arithmetic is done in log space with max-subtraction
-so large eta*T never overflows.
+samples, its first draw in a chunk draws the paths of all the chunk's
+rounds in one :func:`draw_paths` call, by the uniforms :func:`sample_path`
+would take round by round.  Mirror descent with dilated entropy has the
+same iterates, so the ``omd-dilated`` spec runs it too; :class:`DilatedOmd`
+is the numeric KKT route kept to certify that.  Other sets use
+:class:`ExplicitHedge`, one weight per enumerated vertex.  All weight
+arithmetic is done in log space with max-subtraction so large eta*T never
+overflows.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,8 +37,7 @@ from .errors import PreconditionError, ValidationError
 from .proximal import (flow_prox_newton, mset_prox, mset_prox_kkt_residual,
                        scipy_wrightomega, sinkhorn_flow_projection)
 from .regularizers import DilatedEntropy, uniform_path_flow
-from .sampling import (path_cdfs, sample_explicit, sample_mset, sample_path,
-                       walk_path, walk_paths)
+from .sampling import draw_paths, sample_explicit, sample_mset, sample_path
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +199,20 @@ class PathHedge(Learner):
 
     After :meth:`plan`, the policies come from a :class:`HedgePlan` of the
     trial's prefix sums instead, bit for bit the same; ``absorb`` then only
-    moves the round on.  ``sample`` then draws from the plan's CDF tables,
-    where the per-round learner calls :func:`sample_path` on the round's
-    edge marginals.  On a graph whose paths all take ``hops`` hops, the
-    first draw in a chunk takes ``rng.generator.random((rows, hops))`` for
-    the chunk's rounds up to the plan's last loss, walks them all with
-    :func:`walk_paths` and keeps their 0/1 vertices, which the later draws
-    of the chunk return in turn.  Philox gives ``random((rows, hops))`` the
-    doubles, and leaves it the state, of as many ``random()`` calls, so the
-    paths and the generator state are those of one draw per round, as long
-    as the learner draws every round of the chunk from that one stream; a
-    draw in the chunk with another ``rng`` raises
-    :class:`PreconditionError`.  A round whose walk fails raises there, as
-    the per-round draw would, and no later round comes from that batch.
-    Elsewhere each round walks its row with :func:`walk_path`, because its
-    uniforms start where the last path's ended.
+    moves the round on.  The per-round learner samples by
+    :func:`sample_path` on the round's edge marginals.  A planned one's
+    first draw in a chunk takes ``rng.generator.random((rows, branching))``
+    for the chunk's rounds up to the plan's last loss, draws all their
+    paths from the chunk's edge marginals in one :func:`draw_paths` call
+    and keeps their 0/1 vertices, which the later draws of the chunk return
+    in turn.  Every draw takes ``branching`` uniforms (``Dag.draw_layout``),
+    and Philox gives ``random((rows, branching))`` the doubles, and leaves
+    it the state, of that many one-round draws, so the paths and the
+    generator state are those of :func:`sample_path` per round, as long as
+    the learner draws every round of the chunk from that one stream; a draw
+    in the chunk with another ``rng`` raises :class:`PreconditionError`.  A
+    round whose draw fails raises there, as the per-round draw would, and
+    no later round comes from that batch.
     """
 
     name = "hedge"
@@ -235,7 +230,7 @@ class PathHedge(Learner):
         self._marg = None  # edge marginals behind the cached policy
         self._round = 1
         self._plan = None
-        self._walks = self._NO_WALKS
+        self._draws = self._NO_DRAWS
 
     def plan(self, cum, shared=None):
         """Play from the trial's prefix sums: row ``t - 1`` of ``cum``
@@ -269,38 +264,36 @@ class PathHedge(Learner):
             self.propose()  # sets the edge marginals of the current round
             path = np.flatnonzero(sample_path(self.dag, self._marg, rng))
             return self._vertices([path])[0]
-        row, cdf, dead = self._plan.draw_tables(self._round)
-        hops = self.dag.hop_count
-        if hops is None:  # a round's uniforms start where the last path's end
-            path = walk_path(self.dag, cdf[row].tolist(), dead[row], rng)
-            return self._vertices([path])[0]
-        held, stream, start, vertices, error = self._walks
-        if held is not cdf or row - start >= len(vertices) + (error is not None):
+        row, marg = self._plan.marginals(self._round)
+        held, stream, start, vertices, error = self._draws
+        if held is not marg or row - start >= len(vertices) + (error is not None):
             # the chunk's first draw: its rounds up to the plan's last loss,
-            # walked at once by one batch of uniforms
-            stop = max(row + 1, min(len(cdf),
+            # drawn at once by one batch of uniforms
+            stop = max(row + 1, min(len(marg),
                                     row + 1 + len(self._plan.cum) - self._round))
-            edges, error = walk_paths(self.dag, cdf[row:stop], dead[row:stop],
-                                      rng.generator.random((stop - row, hops)))
-            stream, start, vertices = rng, row, self._vertices(edges)
-            self._walks = cdf, rng, row, vertices, error
+            shape = (stop - row, self.dag.draw_layout.branching)
+            paths, error = draw_paths(self.dag, marg[row:stop],
+                                      rng.generator.random(shape))
+            stream, start, vertices = rng, row, self._vertices(paths)
+            self._draws = marg, rng, row, vertices, error
         elif rng is not stream:
             raise PreconditionError("a planned learner draws each chunk from "
                                     "one stream, but this draw has another")
         if row - start == len(vertices):  # the row that fails
-            self._walks = self._NO_WALKS  # no later row comes from this batch
+            self._draws = self._NO_DRAWS  # no later row comes from this batch
             raise error
         return vertices[row - start]
 
-    #: ``_walks`` before a chunk's first draw: (cdf, rng, first row,
-    #: vertices, error), with no rows walked
-    _NO_WALKS = (None, None, 0, (), None)
+    #: ``_draws`` before a chunk's first draw: (marginals, rng, first row,
+    #: vertices, error), with no rows drawn
+    _NO_DRAWS = (None, None, 0, (), None)
 
     def _vertices(self, paths):
-        """Read-only 0/1 coordinate rows of the sets of edges ``paths``."""
-        coord = self._edge_coord[np.asarray(paths, dtype=np.intp)]
-        x = np.zeros((len(coord), self.decision_set.dimension))
-        rows = np.broadcast_to(np.arange(len(coord))[:, None], coord.shape)
+        """Read-only 0/1 coordinate rows of the lists of edges ``paths``."""
+        edges = itertools.chain.from_iterable(paths)
+        coord = self._edge_coord[np.fromiter(edges, dtype=np.intp)]
+        x = np.zeros((len(paths), self.decision_set.dimension))
+        rows = np.repeat(np.arange(len(paths)), [len(p) for p in paths])
         keep = coord >= 0
         x[rows[keep], coord[keep]] = 1.0
         x.flags.writeable = False
@@ -323,12 +316,10 @@ class HedgePlan:
     :data:`PLAN_ENTRIES` entries), when a round of the chunk is first asked
     for: one :func:`weight_pushing_marginals` call over an ``(E, k)`` array,
     then each round's policy summed per coordinate in edge order, bit for
-    bit the ``bincount`` of :class:`PathHedge`.  The first draw of a chunk
-    (:meth:`draw_tables`) adds the CDF tables of its rounds, built from its
-    ``(k, E)`` edge marginals in one :func:`path_cdfs` call, so expected
-    mode builds none; each learner walks them with its own stream.  The
-    arrays are read-only, so learners can share them; only the latest chunk
-    is kept.
+    bit the ``bincount`` of :class:`PathHedge`; each learner draws its
+    paths from the chunk's ``(k, E)`` edge marginals with its own stream.
+    The arrays are read-only, so learners can share them; only the latest
+    chunk is kept.
     """
 
     def __init__(self, learner, cum):
@@ -337,24 +328,18 @@ class HedgePlan:
         self._edges, self._coords = learner._edges, learner._coords
         self.chunk = max(1, PLAN_ENTRIES // self.dag.n_edges)
         self._index = None  # the chunk held, with its arrays:
-        self._policies = self._marg = self._tables = None
+        self._policies = self._marg = None
 
     def round(self, t):
         """The policy of round ``t``, a row of the chunk."""
         row = self._row(t)
         return self._policies[row]
 
-    def draw_tables(self, t):
-        """``(row, cdf, dead)``: the row of round ``t`` in the CDF tables of
-        its chunk, read-only, and their dead sets.  The first draw of a
-        chunk builds the tables of all its rounds from their edge
-        marginals, in one :func:`path_cdfs` call."""
+    def marginals(self, t):
+        """``(row, marg)``: the row of round ``t`` in its chunk, and the
+        chunk's ``(k, E)`` edge marginals, read-only."""
         row = self._row(t)
-        if self._tables is None:
-            cdf, dead = path_cdfs(self.dag, self._marg)
-            cdf.flags.writeable = False
-            self._tables = cdf, tuple(dead)
-        return (row, *self._tables)
+        return row, self._marg
 
     def _row(self, t):
         """Row of round ``t`` in its chunk, which is built unless held."""
@@ -364,7 +349,7 @@ class HedgePlan:
         index, row = divmod(t - 1, self.chunk)
         if index != self._index:
             self._policies, self._marg = self._build(index)
-            self._index, self._tables = index, None
+            self._index = index
         return row
 
     def _build(self, index):

@@ -102,14 +102,10 @@ def load():
 
 
 def gap(a, b):
-    """Largest absolute column difference; inf if the shapes differ, and 0
-    where both are the same infinity or NaN."""
+    """Largest absolute column difference; inf if the shapes differ."""
     if a.shape != b.shape:
         return np.inf
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(a - b)
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
-    return float(np.where(same, 0.0, diff).max(initial=0.0))
+    return float(np.abs(a - b).max(initial=0.0))
 
 
 def _write_columns(columns):
@@ -144,7 +140,7 @@ def main(argv):
         old = old_columns.get(name, np.empty(0))
         moved = [spec for i, spec in enumerate(config.learner_specs)
                  if old.shape != columns.shape
-                 or not np.array_equal(old[i], columns[i], equal_nan=True)]
+                 or not np.array_equal(old[i], columns[i])]
         hashes[name] = {} if moved else dict(old_hashes.get(name, {}))
         hashes[name][key] = digest
         print(f"{'moved' if moved else 'unchanged':<9} {name:<34} largest "

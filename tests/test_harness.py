@@ -771,7 +771,7 @@ def test_a_planned_trial_leaves_each_sampler_where_the_per_round_one_does(
         monkeypatch, spec):
     dset = (cl.DagPathSet(_SETS[spec]()) if spec in _SETS
             else cl.build_set(spec))
-    # the last two learners share one plan, hence one table per chunk
+    # the last two learners share one plan, and each draws from it
     cfg = cl.ExperimentConfig(
         spec, ["hedge", "hedge:eta=0.3", "hedge:eta=0.30"], "gaussian",
         horizon=600, trials=2, seed=17, mode="sampled")
@@ -788,7 +788,7 @@ def test_a_planned_trial_leaves_each_sampler_where_the_per_round_one_does(
 
 def test_planned_draws_in_thin_rounds_are_those_of_sample_path():
     # at this rate most rounds have edge marginals below _NO_FLOW, so the
-    # tables take the thin-row branch and mark starved vertices dead
+    # draws take the thin-row branch and mark starved vertices dead
     dset = cl.build_set("dag-layered:16:32")
     losses = [cl.GaussianFeasibleStream(dset, 300, RngStream(18, 0)).loss(t)
               for t in range(1, 301)]
@@ -809,7 +809,7 @@ def test_a_planned_draw_fails_at_a_starved_vertex_as_the_per_round_one(
         monkeypatch, tmp_path):
     # after round 1 the path 0-1-2 weighs e^-40 against 1 for edge 0-2;
     # a uniform of 0 takes edge 0-1, and vertex 1's outflow is below
-    # _NO_FLOW, so the walk stops there in round 2
+    # _NO_FLOW, so the draw stops there in round 2
     loss = tmp_path / "loss.txt"
     loss.write_text("1 0 0\n")
     cfg = cl.ExperimentConfig("dag:<hops>", ["hedge-dag:eta=40"],
@@ -828,12 +828,10 @@ def test_a_planned_draw_fails_at_a_starved_vertex_as_the_per_round_one(
 
 def test_a_planned_graded_draw_fails_at_a_starved_vertex_as_the_per_round_one(
         monkeypatch, tmp_path):
-    # every path takes two hops, so planned draws walk a chunk at once.
-    # After round 1 the path 0-1-3 weighs e^-40 against 1 for 0-2-3; a
-    # uniform of 0 takes edge 0-1, and vertex 1's outflow is below
-    # _NO_FLOW, so the walk stops there in round 2
+    # every path takes two hops.  After round 1 the path 0-1-3 weighs
+    # e^-40 against 1 for 0-2-3; a uniform of 0 takes edge 0-1, and vertex
+    # 1's outflow is below _NO_FLOW, so the draw stops there in round 2
     graded = cl.Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
-    assert graded.hop_count == 2
     loss = tmp_path / "loss.txt"
     loss.write_text("1 0 0 0\n")
     cfg = cl.ExperimentConfig("dag:<graded>", ["hedge-dag:eta=40"],
@@ -848,17 +846,6 @@ def test_a_planned_graded_draw_fails_at_a_starved_vertex_as_the_per_round_one(
         errors.append((str(info.value), info.value.trial, info.value.round))
     assert errors[0] == errors[1] == (
         "trial 0, round 2: no outgoing flow at vertex 1", 0, 2)
-
-
-def test_hop_count_is_that_of_every_path_or_none():
-    assert cl.build_set("dag-layered:64:4096").dag.hop_count == 8  # 4 layers
-    assert cl.build_set("dag-layered:256:65536").dag.hop_count == 4
-    assert cl.build_set("multitask:2,4,8").path_embedding[0].hop_count == 3
-    assert hops_dag().hop_count is None
-    # both s-t paths take two hops, but a walk into dead end 3 takes one
-    # and never reaches the sink
-    dead_end = cl.Dag(5, [(0, 1), (0, 2), (1, 4), (2, 4), (1, 3)], 0, 4)
-    assert dead_end.hop_count is None
 
 
 def test_a_planned_draw_takes_each_chunk_from_one_stream():
@@ -888,15 +875,16 @@ def test_batched_weight_pushing_is_the_one_column_pass_bit_for_bit():
 
 
 def _count_calls(monkeypatch, name="weight_pushing_marginals"):
-    """Shapes of the array passed to ``comblab.learners.<name>(dag, a)``."""
+    """Shapes of the array passed to ``comblab.learners.<name>(dag, a,
+    ...)``."""
     import comblab.learners as ln
 
     calls = []
     fn = getattr(ln, name)
 
-    def counted(dag, values):
+    def counted(dag, values, *rest):
         calls.append(np.shape(values))
-        return fn(dag, values)
+        return fn(dag, values, *rest)
 
     monkeypatch.setattr(ln, name, counted)
     return calls
@@ -907,7 +895,7 @@ def test_learners_of_one_rate_share_one_pass_per_chunk(monkeypatch, mode):
     import comblab.learners as ln
 
     calls = _count_calls(monkeypatch)
-    tables = _count_calls(monkeypatch, "path_cdfs")
+    draws = _count_calls(monkeypatch, "draw_paths")
     built, plan = [], ln.HedgePlan
     monkeypatch.setattr(ln, "HedgePlan",
                         lambda *args: built.append(1) or plan(*args))
@@ -919,10 +907,22 @@ def test_learners_of_one_rate_share_one_pass_per_chunk(monkeypatch, mode):
     assert calls == [(256, 256), (256, 256), (256, 89)] * 2
     # one plan per trial, built by the first learner only
     assert len(built) == 2
-    # and one CDF table build per chunk for both learners' draws, made only
-    # when they sample
-    assert tables == ([(256, 256), (256, 256), (89, 256)] * 2
-                      if mode == "sampled" else [])
+    # and, only when they sample, one draw per learner and chunk, of the
+    # rounds up to the last loss
+    assert draws == ([(256, 256)] * 4 + [(88, 256)] * 2) * 2 * (
+        mode == "sampled")
+
+
+def test_a_sampled_run_of_mixed_hop_counts_draws_once_per_learner_and_chunk(
+        monkeypatch):
+    # hops_dag has paths of one and two hops; a chunk holds 2 ** 16 // 3
+    # rounds, so each learner draws its whole trial in one call
+    draws = _count_calls(monkeypatch, "draw_paths")
+    cfg = cl.ExperimentConfig("dag:<hops>", ["hedge-dag", "omd-dilated"],
+                              "gaussian", horizon=300, trials=2, seed=20,
+                              mode="sampled")
+    cl.run_experiment(cfg, decision_set=cl.DagPathSet(hops_dag()))
+    assert draws == [(300, 3)] * 4
 
 
 def test_learners_of_two_rates_make_two_plans(monkeypatch):

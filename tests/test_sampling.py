@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,8 +9,8 @@ import comblab as cl
 from comblab.instances import (chain_dag, diamond_dag, parallel_dag,
                                random_layered_dag)
 from comblab.learners import weight_pushing_marginals
-from comblab.sampling import (_NO_FLOW, RngStream, path_cdfs, sample_explicit,
-                              sample_mset, sample_path, walk_path, walk_paths)
+from comblab.sampling import (_NO_FLOW, RngStream, draw_paths, sample_explicit,
+                              sample_mset, sample_path)
 
 
 def test_rng_stream_determinism_and_independence():
@@ -75,17 +76,24 @@ def test_sample_path_always_valid():
         assert ok
 
 
-def _choice_walk(dag, flow, gen):
-    """The Markovian draw with one ``Generator.choice`` per vertex, which
-    ``sample_path`` reproduces without calling it."""
+def _reference_draw(dag, flow, gen):
+    """The contract of ``sample_path``, one vertex at a time in Python:
+    every vertex of out-degree 2 or more, by out-degree and then by index,
+    takes one uniform and picks the number of its running flow sums, all
+    but the last, that are at most the uniform times the last; the path
+    follows the picks from the source."""
+    out = [edges.tolist() for edges in dag.out_edges]
+    pick = {u: edges[0] for u, edges in enumerate(out) if len(edges) == 1}
+    for _, u in sorted((len(edges), u) for u, edges in enumerate(out)
+                       if len(edges) >= 2):
+        point = gen.random()
+        sums = list(itertools.accumulate(flow[out[u]].tolist()))
+        pick[u] = out[u][sum(s <= point * sums[-1] for s in sums[:-1])]
     x = np.zeros(dag.n_edges)
     u = dag.source
     while u != dag.sink:
-        out = dag.out_edges[u]
-        mass = flow[out]
-        e = out[gen.choice(len(out), p=mass / mass.sum())]
-        x[e] = 1.0
-        u = dag.edges[e][1]
+        x[pick[u]] = 1.0
+        u = dag.edges[pick[u]][1]
     return x
 
 
@@ -102,11 +110,10 @@ _DRAW_SPECS = ["dag-layered:64:4096", "dag-layered:16:32", "mset:16:4",
 @pytest.mark.parametrize("spec, cut", [
     *(pytest.param(spec, False, id=spec) for spec in _DRAW_SPECS),
     *(pytest.param(spec, True, id=f"{spec}-cut") for spec in _DRAW_SPECS)])
-def test_sample_path_draws_as_generator_choice(spec, cut):
-    # Pins the draw against numpy's own choice: should numpy change how
-    # choice draws, this fails instead of sampled CSVs moving silently.
-    # Fan-outs of 12, 20 and 64 sum pairwise, not left to right; a cut
-    # flow has zero-flow branches and vertices that no path reaches.
+def test_sample_path_draws_by_the_reference_pick(spec, cut):
+    # Pins the draw: should it change, this fails instead of sampled CSVs
+    # moving silently.  Fan-outs of 12, 20 and 64 take long running sums;
+    # a cut flow has zero-flow branches and vertices that no path reaches.
     dag = cl.build_set(spec).path_embedding[0]
     gen = RngStream(44, 0).generator
     log_w = gen.standard_normal(dag.n_edges)
@@ -118,28 +125,54 @@ def test_sample_path_draws_as_generator_choice(spec, cut):
     ours, theirs = RngStream(44, 1), RngStream(44, 1)
     for _ in range(2000):
         assert np.array_equal(sample_path(dag, flow, ours),
-                              _choice_walk(dag, flow, theirs.generator))
+                              _reference_draw(dag, flow, theirs.generator))
     assert _same_state(ours.generator.bit_generator.state,
                        theirs.generator.bit_generator.state)
 
 
-@pytest.mark.parametrize("spec", _DRAW_SPECS)
-def test_path_cdfs_rows_are_the_one_row_tables_bit_for_bit(spec):
-    # A planned Hedge walks rows of a chunk's tables where the per-round
-    # learner walks sample_path's one-row table: each row must not depend
-    # on the rows built with it.  multitask:12,20 has a one-vertex group
-    # per fan-out; large weights give thin rows; row 5 is rejected alone.
-    dag = cl.build_set(spec).path_embedding[0]
-    log_w = RngStream(46, 0).generator.standard_normal((dag.n_edges, 64))
-    flows = np.ascontiguousarray(weight_pushing_marginals(dag, 20 * log_w).T)
-    flows[5, 0] = np.nan
-    cdf, dead = path_cdfs(dag, flows)
-    assert dead[5] is None and (flows.min(axis=1) <= _NO_FLOW).sum() > 30
-    for r in range(64):
-        one, (one_dead,) = path_cdfs(dag, flows[r][None])
-        assert one_dead == dead[r]
-        if r != 5:
-            assert np.array_equal(one[0], cdf[r])
+def _one_row(dag, flow, uniforms):
+    """``draw_paths`` on one row: its path, or the error it raises."""
+    paths, error = draw_paths(dag, flow[None], uniforms[None])
+    return paths[0] if error is None else (type(error), str(error))
+
+
+def _draw_graphs():
+    """Graded random DAGs with out-degrees 1 to 4 side by side, a chain of
+    fan-outs 2, 4 and 8, the m-set and layered specs, paths of one to three
+    hops, and a dead end."""
+    dags = [random_layered_dag(RngStream(49, 1 + i), max_edges=30, max_width=4)
+            for i in range(8)]
+    dags += [cl.build_set(spec).path_embedding[0]
+             for spec in ["multitask:2,4,8", *_DRAW_SPECS]]
+    dags.append(cl.Dag(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4),
+                           (2, 5), (3, 5), (4, 5), (0, 5)], 0, 5))
+    dags.append(cl.Dag(5, [(0, 1), (0, 2), (1, 4), (2, 4), (1, 3)], 0, 4))
+    return dags
+
+
+def test_draw_paths_rows_are_its_one_row_calls_bit_for_bit():
+    # A planned Hedge draws a chunk's rows in one call where the per-round
+    # learner draws one row: no row may depend on the rows drawn with it.
+    # Large weights give thin rows, a zeroed outflow starves a middle
+    # vertex that the path may meet, a NaN row is rejected.
+    gen = RngStream(49, 0).generator
+    thin = starved = 0
+    for dag in _draw_graphs():
+        log_w = 20 * gen.standard_normal((dag.n_edges, 40))
+        flows = np.ascontiguousarray(weight_pushing_marginals(dag, log_w).T)
+        for r in range(0, 40, 4):
+            v = int(gen.integers(1, dag.sink))
+            flows[r, dag.out_edges[v]] = 0.0
+        flows[37, 0] = np.nan
+        thin += (flows.min(axis=1) <= _NO_FLOW).sum()
+        uniforms = gen.random((40, dag.draw_layout.branching))
+        paths, error = draw_paths(dag, flows, uniforms)
+        want = [_one_row(dag, flows[r], uniforms[r]) for r in range(40)]
+        fails = [r for r, w in enumerate(want) if isinstance(w, tuple)]
+        starved += sum(want[r][0] is cl.DegenerateVertex for r in fails)
+        assert fails[0] <= 37 and paths == want[:fails[0]]
+        assert (type(error), str(error)) == want[fails[0]]
+    assert thin > 400 and starved > 40, (thin, starved)
 
 
 def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
@@ -148,7 +181,7 @@ def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
     dag = cl.Dag(5, [(0, 1), (0, 2), (1, 3), (1, 3), (2, 3), (2, 3),
                      (0, 4), (4, 3)], 0, 3)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # 0 / 0 in an unread row would warn
+        warnings.simplefilter("error")  # an unvisited empty star is quiet
         rng = RngStream(48, 0)
         flow = np.array([1.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
         for _ in range(200):
@@ -159,79 +192,22 @@ def test_sample_path_raises_only_at_a_visited_vertex_without_outflow():
             rng = RngStream(48, 1)
             with pytest.raises(cl.DegenerateVertex, match=f"vertex {vertex}$"):
                 sample_path(dag, np.array(flow), rng)
-            # the source's draw was made, the vertex's own was not
+            # the draw took its uniforms, one per branching vertex, 0 to 2
+            assert dag.draw_layout.branching == 3
             drawn = RngStream(48, 1).generator
-            drawn.random()
+            drawn.random(3)
             assert _same_state(rng.generator.bit_generator.state,
                                drawn.bit_generator.state)
 
 
-class _Given:
-    """A stream whose generator gives these uniforms in turn."""
-
-    def __init__(self, uniforms):
-        self.generator = self
-        self._next = iter(uniforms.tolist())
-
-    def random(self):
-        return next(self._next)
-
-
-def _walked(dag, cdf, dead, uniforms):
-    """``walk_path`` on one row: its edges, or the error it raises."""
-    try:
-        return walk_path(dag, cdf.tolist(), dead, _Given(uniforms))
-    except cl.ComblabError as err:
-        return type(err), str(err)
-
-
-def test_walk_paths_is_walk_path_row_by_row():
-    # Random graded DAGs, out-degrees 1 to 4 side by side, and a chain of
-    # fan-outs 2, 4 and 8; large weights give thin rows, a zeroed outflow
-    # starves a middle vertex that the walk may meet, a NaN row is rejected.
-    gen = RngStream(49, 0).generator
-    dags = [random_layered_dag(RngStream(49, 1 + i), max_edges=30, max_width=4)
-            for i in range(12)]
-    dags.append(cl.build_set("multitask:2,4,8").path_embedding[0])
-    thin = starved = 0
-    for dag in dags:
-        hops = dag.hop_count
-        assert hops == max(dag._kahn_levels[1])  # all edges join two layers
-        log_w = 20 * gen.standard_normal((dag.n_edges, 40))
-        flows = np.ascontiguousarray(weight_pushing_marginals(dag, log_w).T)
-        for r in range(0, 40, 4):
-            v = int(gen.integers(1, dag.sink))
-            flows[r, dag.out_edges[v]] = 0.0
-        flows[37, 0] = np.nan
-        cdf, dead = path_cdfs(dag, flows)
-        thin += sum(d is not None and len(d) > 0 for d in dead)
-        uniforms = gen.random((40, hops))
-        edges, error = walk_paths(dag, cdf, dead, uniforms)
-        first_fail = None
-        for r in range(40):
-            want = _walked(dag, cdf[r], dead[r], uniforms[r])
-            one, one_error = walk_paths(dag, cdf[r:r + 1], dead[r:r + 1],
-                                        uniforms[r:r + 1])
-            if isinstance(want, list):
-                assert one_error is None and one.tolist() == [want]
-                if first_fail is None:
-                    assert edges[r].tolist() == want
-            else:
-                starved += want[0] is cl.DegenerateVertex
-                assert len(one) == 0 and (type(one_error), str(one_error)) == want
-                if first_fail is None:
-                    first_fail = r
-                    assert (type(error), str(error)) == want
-        assert len(edges) == first_fail
-    assert thin > 100 and starved > 20, (thin, starved)
-
-
 def test_a_batch_of_uniforms_is_as_many_draws_one_at_a_time():
-    # walk_paths takes a chunk's uniforms in one call where walk_path
-    # takes them one per hop: Philox gives the same doubles and state
+    # a planned chunk takes its rounds' uniforms in one call where
+    # sample_path takes one row per round: Philox gives the same doubles
+    # and state
     batched, single = RngStream(50, 1).generator, RngStream(50, 1).generator
     block = batched.random((7, 5))
-    assert block.ravel().tolist() == [single.random() for _ in range(35)]
+    assert block.tolist() == [single.random((1, 5))[0].tolist()
+                              for _ in range(7)]
     assert _same_state(batched.bit_generator.state, single.bit_generator.state)
 
 
@@ -252,23 +228,21 @@ def test_sample_path_rejects_a_bad_flow_before_drawing(bad):
 def test_a_flow_whose_outflow_overflows_is_rejected_without_warning():
     # 1e308 on both out-edges of the source: their sum overflows.  Such a
     # row is rejected before any draw, as Generator.choice rejects its
-    # probabilities; a row built beside it keeps its own table.
+    # probabilities; a row drawn beside it keeps its own path.
     dag = diamond_dag()
     big, fair = np.full(4, 1e308), np.array([0.3, 0.7, 0.3, 0.7])
+    uniforms = np.array([[0.5], [0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rng = RngStream(56, 0)
         with pytest.raises(cl.PreconditionError, match="finite and non-negative"):
             sample_path(dag, big, rng)
-        cdf, dead = path_cdfs(dag, np.array([fair, big]))
-        one, one_dead = path_cdfs(dag, fair[None])
-        edges, error = walk_paths(dag, cdf[::-1], dead[::-1],
-                                  np.zeros((2, dag.hop_count)))
+        paths, error = draw_paths(dag, np.array([fair, big]), uniforms)
+        first, first_error = draw_paths(dag, np.array([big, fair]), uniforms)
     assert _same_state(rng.generator.bit_generator.state,
                        RngStream(56, 0).generator.bit_generator.state)
-    assert dead[1] is None and dead[0] == one_dead[0]
-    assert np.array_equal(cdf[0], one[0])
-    assert len(edges) == 0 and isinstance(error, cl.PreconditionError)
+    assert paths == [[1, 3]] and isinstance(error, cl.PreconditionError)
+    assert first == [] and isinstance(first_error, cl.PreconditionError)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +280,16 @@ def test_sample_mset_capped_coordinate():
     emp = acc / n
     band = 3.0 * np.sqrt(policy * (1 - policy) / n) + 1e-12
     assert np.all(np.abs(emp - policy) <= band)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_mset_rejects_a_non_finite_policy_before_drawing(bad):
+    # abs(nan - m) > 1e-9 is false, so the sum check alone lets NaN by
+    rng = RngStream(57, 0)
+    with pytest.raises(cl.PreconditionError, match="finite"):
+        sample_mset(np.array([0.5, 0.5, bad, 0.5, 0.5]), 2, rng)
+    assert _same_state(rng.generator.bit_generator.state,
+                       RngStream(57, 0).generator.bit_generator.state)
 
 
 def test_sample_mset_rejects_bad_sum():
