@@ -4,8 +4,10 @@ Each generator materialises one loss-vector stream from a lower-bound
 construction: Rademacher segments over a shattered index set, blockwise
 sign patterns on m-sets, the rate-aware two-phase instance that defeats
 Hedge on m-sets, per-block phases for multitask sets, and the layered-DAG
-instance.  Streams precompute their randomness at construction from a
-counter-based key, so ``loss(t)`` is pure and reproducible.
+instance.  Every adversary is oblivious: a stream is its ``(T, d)`` array
+of losses, filled when it is built from randomness drawn under a
+counter-based key, so ``loss(t)``, a copy of one row, is pure and
+reproducible.
 
 All emitted vectors satisfy the unit action-loss bound by construction.
 """
@@ -147,31 +149,36 @@ def largest_remainder(total, shares):
 # ---------------------------------------------------------------------------
 
 class LossStream:
-    """One materialised loss sequence; ``loss(t)`` is pure for t in 1..T."""
+    """One oblivious loss sequence: the ``(T, d)`` array ``losses``.
+
+    Every sequence is fixed before round 1.  The base constructor checks
+    the horizon and allocates ``losses`` as zeros; each subclass fills it
+    in its own constructor, drawing all of its randomness there.  ``loss``
+    is the one accessor: round ``t``'s loss, a copy of row ``t - 1``.
+    Subclasses bind it in their own class dict (``loss = LossStream.loss``)
+    so that each class's ``loss`` and ``__init__`` can be wrapped there.
+    """
 
     def __init__(self, dimension, horizon):
         if horizon < 1:
             raise PreconditionError(f"need horizon >= 1, got {horizon}")
         self.dimension = int(dimension)
         self.horizon = int(horizon)
+        self.losses = np.zeros((self.horizon, self.dimension))
 
     def loss(self, t):
-        raise NotImplementedError
-
-    def _check_round(self, t):
         if not (1 <= t <= self.horizon):
             raise PreconditionError(f"round {t} outside 1..{self.horizon}")
+        return self.losses[t - 1].copy()
 
 
 class ConstantStream(LossStream):
     def __init__(self, vector, horizon):
         vector = np.asarray(vector, dtype=float)
         super().__init__(vector.size, horizon)
-        self.vector = vector
+        self.losses[:] = vector
 
-    def loss(self, t):
-        self._check_round(t)
-        return self.vector.copy()
+    loss = LossStream.loss
 
 
 class UniversalStream(LossStream):
@@ -193,15 +200,11 @@ class UniversalStream(LossStream):
         k = shattered.size
         sizes = [horizon // k + (1 if i < horizon % k else 0) for i in range(k)]
         self.segment_sizes = sizes
-        self.coordinate_of_round = np.repeat(
-            np.array(self.shattered.indices, dtype=int), sizes)
-        self.signs = rng.generator.integers(0, 2, size=horizon) * 2.0 - 1.0
+        coordinates = np.repeat(np.array(shattered.indices, dtype=int), sizes)
+        signs = rng.generator.integers(0, 2, size=horizon) * 2.0 - 1.0
+        self.losses[np.arange(horizon), coordinates] = signs
 
-    def loss(self, t):
-        self._check_round(t)
-        y = np.zeros(self.dimension)
-        y[self.coordinate_of_round[t - 1]] = self.signs[t - 1]
-        return y
+    loss = LossStream.loss
 
 
 class MSetLbStream(LossStream):
@@ -217,11 +220,9 @@ class MSetLbStream(LossStream):
         self.m = m
         self.n_blocks = d // m
         z = dk_sample(self.n_blocks, rng, size=horizon)
-        self._losses = np.repeat(z, m, axis=1) / m
+        self.losses[:] = np.repeat(z, m, axis=1) / m
 
-    def loss(self, t):
-        self._check_round(t)
-        return self._losses[t - 1].copy()
+    loss = LossStream.loss
 
 
 def hedge_killer_base_rate(d, m, horizon):
@@ -234,8 +235,9 @@ class HedgeKillerStream(LossStream):
 
     Small rates get a fixed vector ``1/m`` on the first m coordinates;
     larger rates get a single-coordinate stream: a sink phase of -1 losses
-    whose cumulative depth is exactly ``ln(d/m)/eta`` (fractional round
-    included), then +1/-1 alternation.
+    whose cumulative depth is exactly ``t0 = ln(d/m)/eta`` (rounds 1 to
+    ``floor(t0)``, then ``-(t0 - floor(t0))`` in round ``ceil(t0)`` when
+    ``t0`` is fractional), then +1/-1 alternation.
     """
 
     def __init__(self, d, m, horizon, eta):
@@ -246,27 +248,20 @@ class HedgeKillerStream(LossStream):
         self.eta = float(eta)
         self.base_rate = hedge_killer_base_rate(d, m, horizon)
         self.small_branch = self.eta <= self.base_rate
-        if not self.small_branch:
-            self.t0 = math.log(d / m) / self.eta
-        else:
-            self.t0 = None
-
-    def loss(self, t):
-        self._check_round(t)
-        y = np.zeros(self.dimension)
         if self.small_branch:
-            y[: self.m] = 1.0 / self.m
-            return y
-        t0 = self.t0
-        lo = math.floor(t0)
-        hi = math.ceil(t0)
-        if t <= lo:
-            y[0] = -1.0
-        elif t == hi and hi != lo:
-            y[0] = -(t0 - lo)
-        elif t > hi:
-            y[0] = 1.0 if (t - hi) % 2 == 1 else -1.0
-        return y
+            self.t0 = None
+            self.losses[:, :m] = 1.0 / m
+            return
+        self.t0 = t0 = math.log(d / m) / self.eta
+        lo, hi = math.floor(t0), math.ceil(t0)
+        first = self.losses[:, 0]  # row t - 1 is round t
+        first[:lo] = -1.0
+        if lo < hi <= horizon:
+            first[hi - 1] = -(t0 - lo)
+        first[hi::2] = 1.0
+        first[hi + 1::2] = -1.0
+
+    loss = LossStream.loss
 
 
 class MultitaskPhaseStream(LossStream):
@@ -288,39 +283,33 @@ class MultitaskPhaseStream(LossStream):
             horizon, [math.log(b) for b in sizes])
         starts = np.concatenate([[0], np.cumsum(sizes)])
         self.block_of_round = np.repeat(np.arange(len(sizes)), self.phase_lengths)
-        self._losses = np.zeros((horizon, self.dimension))
         for t in range(horizon):
             b = self.block_of_round[t]
             z = dk_sample(sizes[b], rng)
-            self._losses[t, starts[b]: starts[b] + sizes[b]] = z
+            self.losses[t, starts[b]: starts[b] + sizes[b]] = z
 
-    def loss(self, t):
-        self._check_round(t)
-        return self._losses[t - 1].copy()
+    loss = LossStream.loss
 
 
 class DagLayeredStream(LossStream):
-    """Per-layer sign patterns on the first-hop edges of a layered DAG."""
+    """Per-layer sign patterns on the first-hop edges of a layered DAG.
+
+    The rounds split into one phase of ``T // layers`` rounds per layer,
+    in layer order; the leftover rounds at the end carry zero losses.
+    """
 
     def __init__(self, first_hop_edges, n_edges, horizon, rng):
         super().__init__(n_edges, horizon)
-        self.first_hop_edges = [np.asarray(ix, dtype=int) for ix in first_hop_edges]
-        self.n_layers = len(self.first_hop_edges)
-        self.rounds_per_phase = horizon // self.n_layers
-        width = len(self.first_hop_edges[0])
-        active = self.rounds_per_phase * self.n_layers
-        self._z = dk_sample(width, rng, size=active) if active else None
+        per_phase = horizon // len(first_hop_edges)
+        if per_phase == 0:
+            return
+        width = len(first_hop_edges[0])
+        z = dk_sample(width, rng, size=per_phase * len(first_hop_edges))
+        for phase, edges in enumerate(first_hop_edges):
+            rows = slice(phase * per_phase, (phase + 1) * per_phase)
+            self.losses[rows, edges] = z[rows]
 
-    def loss(self, t):
-        self._check_round(t)
-        y = np.zeros(self.dimension)
-        if self.rounds_per_phase == 0:
-            return y
-        phase = (t - 1) // self.rounds_per_phase
-        if phase >= self.n_layers:
-            return y  # residual phase: zero losses
-        y[self.first_hop_edges[phase]] = self._z[t - 1]
-        return y
+    loss = LossStream.loss
 
 
 class GaussianFeasibleStream(LossStream):
@@ -338,12 +327,9 @@ class GaussianFeasibleStream(LossStream):
         raw = gen.standard_normal((horizon, self.dimension))
         norms = decision_set._dual_norms(raw)
         scaled = norms > 0
-        self._losses = np.zeros_like(raw)
-        self._losses[scaled] = scale * raw[scaled] / norms[scaled, None]
+        self.losses[scaled] = scale * raw[scaled] / norms[scaled, None]
 
-    def loss(self, t):
-        self._check_round(t)
-        return self._losses[t - 1].copy()
+    loss = LossStream.loss
 
 
 # ---------------------------------------------------------------------------

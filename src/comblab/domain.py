@@ -84,6 +84,10 @@ class Dag:
         self.n_edges = len(self.edges)
         self.source = int(source)
         self.sink = int(sink)
+        for role, v in (("source", self.source), ("sink", self.sink)):
+            if not 0 <= v < self.n_vertices:
+                raise PreconditionError(
+                    f"{role} {v} out of range for {self.n_vertices} vertices")
         self.out_edges = [[] for _ in range(self.n_vertices)]
         for idx, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):

@@ -425,8 +425,8 @@ def run_experiment(config, decision_set=None):
     In ``expected`` mode the learner is charged ``<policy, y>``; in
     ``sampled`` mode a vertex is drawn (expectation-matched to the policy,
     on DAG paths by ``sample_path``) and charged instead.  Losses are
-    checked and scored per trial: before round 1 the trial's T losses are
-    stacked, checked in one batched ``validate_losses`` and their running
+    checked and scored per trial: before round 1 the stream's T losses are
+    checked in one batched ``validate_losses`` and their running
     sums scored in one batched ``best_values`` (on DAG and multitask sets
     one forward shortest-path pass for every prefix), so regret curves
     are exact at every horizon.  A
@@ -439,8 +439,9 @@ def run_experiment(config, decision_set=None):
     ``draw_paths`` call, by one batch of uniforms of its own stream, so the
     paths and the sampler state are those of ``sample_path`` per round.  On
     m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
-    so they stay per round.  The loop asks the stream for each round's
-    loss again, and from the first loss that fails the check it calls
+    so they stay per round.  The check and the sums read the stream's
+    ``(T, d)`` array ``losses``; the loop then calls ``stream.loss(t)``
+    once per round, and from the first loss that fails the check it calls
     :func:`check_loss` on it, so that error comes in its round, before any
     learner absorbs that loss.
 
@@ -471,10 +472,7 @@ def run_experiment(config, decision_set=None):
                                               learner_eta=learners[0].eta)
             stream = adv_factory(RngStream(config.seed, trial, 0))
             sample_rngs = [RngStream(config.seed, trial, 1 + i) for i in range(n)]
-            losses = []
-            for t in range(1, config.horizon + 1):
-                losses.append(stream.loss(t))
-            n_ok, cum = _feasible_prefix(dset, losses)
+            n_ok, cum = _feasible_prefix(dset, stream.losses)
             if not isinstance(dset, MSet):  # m-set passes gain nothing batched
                 plans = {}
                 for learner in learners:
@@ -486,7 +484,7 @@ def run_experiment(config, decision_set=None):
                 raise PreconditionError("the running loss sum is not finite")
             cum_best[:n_ok] = dset.best_values(cum)
             for t in range(1, config.horizon + 1):
-                y = stream.loss(t)  # again: perfbench's tracer reads t here
+                y = stream.loss(t)  # the one call; perfbench's tracer reads t
                 if t > n_ok:  # the first loss that fails: raises here
                     check_loss(dset, y)
                 for i, learner in enumerate(learners):
@@ -534,17 +532,17 @@ def run_experiment(config, decision_set=None):
     return result
 
 
-def _feasible_prefix(dset, losses):
-    """``(n, cum)``: the number ``n`` of leading ``losses`` that pass
-    ``validate_loss``, checked in one batched pass, and their running sums
-    as an ``(n, d)`` array, row ``t - 1`` summing rounds 1 to ``t``."""
-    shape = (dset.dimension,)
-    n = next((i for i, y in enumerate(losses) if np.shape(y) != shape),
-             len(losses))
-    ys = np.array(losses[:n], dtype=float).reshape((n,) + shape)
+def _feasible_prefix(dset, ys):
+    """``(n, cum)``: the number ``n`` of leading rows of the ``(T, k)``
+    array ``ys`` that pass ``validate_loss``, checked in one batched pass,
+    and their running sums as an ``(n, d)`` array, row ``t - 1`` summing
+    rounds 1 to ``t``.  Rows of a width ``k`` other than the set's
+    dimension ``d`` all fail (``n = 0``)."""
+    d = dset.dimension
+    if ys.shape[1] != d:
+        return 0, np.zeros((0, d))
     ok, _ = dset.validate_losses(ys)
-    if not ok.all():
-        n = int(np.argmin(ok))
+    n = len(ys) if ok.all() else int(np.argmin(ok))
     with np.errstate(over="ignore"):  # the caller rejects a sum past the range
         # + 0.0 as a sum from zero: a -0.0 in the first loss becomes 0.0
         return n, np.cumsum(ys[:n], axis=0) + 0.0

@@ -300,7 +300,7 @@ def hedge_killer_closed_form(stream):
     0 alone): ``p_0 y_0`` with ``p_0 = 1 / (1 + ((d-m)/m) exp(eta L))``.
     """
     d, m, eta = stream.dimension, stream.m, stream.eta
-    y0 = np.array([stream.loss(t)[0] for t in range(1, stream.horizon + 1)])
+    y0 = stream.losses[:, 0]
     before = np.concatenate(([0.0], np.cumsum(y0)[:-1]))
     if stream.small_branch:
         overlap = np.arange(max(0, 2 * m - d), m + 1)

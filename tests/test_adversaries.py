@@ -164,6 +164,39 @@ def test_killer_every_vector_feasible():
             assert dset.validate_loss(stream.loss(t)).ok
 
 
+def _killer_loss(d, m, t0, small_branch, t):
+    """Round t's loss of the two-branch instance, by the per-round rule."""
+    y = np.zeros(d)
+    if small_branch:
+        y[:m] = 1.0 / m
+        return y
+    lo, hi = math.floor(t0), math.ceil(t0)
+    if t <= lo:
+        y[0] = -1.0
+    elif t == hi and hi != lo:
+        y[0] = -(t0 - lo)
+    elif t > hi:
+        y[0] = 1.0 if (t - hi) % 2 == 1 else -1.0
+    return y
+
+
+def test_killer_losses_are_the_per_round_rule():
+    seen = set()
+    for d, m in ((12, 3), (8, 4), (64, 8)):
+        depth = math.log(d / m)
+        for horizon in (1, 2, 3, 5, 9, 64, 257):
+            for eta in (1e-3, depth / 4, depth / 2.5, depth / 3.3, depth,
+                        2 * depth, 100.0, math.inf):
+                stream = cl.HedgeKillerStream(d, m, horizon, eta)
+                small, t0 = stream.small_branch, stream.t0
+                seen.add("small" if small
+                         else "whole" if t0 == math.floor(t0) else "fractional")
+                rows = np.array([_killer_loss(d, m, t0, small, t)
+                                 for t in range(1, horizon + 1)])
+                assert stream.losses.tobytes() == rows.tobytes(), (d, m, eta)
+    assert seen == {"small", "whole", "fractional"}
+
+
 # ---------------------------------------------------------------------------
 # multitask phases
 # ---------------------------------------------------------------------------
@@ -314,3 +347,42 @@ def test_gaussian_stream_scales_rows_as_the_per_row_loop(make):
             want[t] = 0.7 * raw[t] / norm
     got = np.array([stream.loss(t) for t in range(1, 301)])
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a stream is its array
+# ---------------------------------------------------------------------------
+
+_STREAM_CASES = [  # (adversary spec, set spec): every registered adversary
+    ("universal", "mset:8:2"),
+    ("universal", "multitask:2,3"),
+    ("universal", "dag-layered:16:32"),
+    ("mset-lb", "mset:8:2"),
+    ("hedge-killer:eta=0.01", "mset:8:2"),
+    ("hedge-killer:eta=1.5", "mset:8:2"),
+    ("multitask-phases", "multitask:2,3,4"),
+    ("dag-layered:16:32", "dag-layered:16:32"),
+    ("constant:zero", "mset:8:2"),
+    ("gaussian", "mset:8:2"),
+    ("gaussian", "multitask:2,3"),
+    ("gaussian", "dag-layered:16:32"),
+]
+
+
+def test_every_stream_serves_the_rows_of_its_array():
+    registered = set(cl.harness.ADVERSARIES)
+    assert {spec.split(":")[0] for spec, _ in _STREAM_CASES} == registered
+    for spec, set_spec in _STREAM_CASES:
+        dset = cl.build_set(set_spec)
+        for horizon in (3, 7, 40):
+            factory = cl.build_adversary(spec, dset, horizon, learner_eta=0.3)
+            stream = factory(RngStream(4, 1, 0))
+            assert stream.losses.shape == (horizon, dset.dimension)
+            for t in range(1, horizon + 1):
+                y = stream.loss(t)
+                assert y.tobytes() == stream.losses[t - 1].tobytes(), (spec, t)
+                y += 1.0  # a copy: the array keeps its row
+                assert not np.array_equal(y, stream.losses[t - 1])
+            for t in (0, horizon + 1):
+                with pytest.raises(cl.PreconditionError, match="outside"):
+                    stream.loss(t)

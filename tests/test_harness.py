@@ -234,14 +234,8 @@ def test_trial_error_context():
     dset = cl.MSet(4, 2)
     bad = cl.build_adversary("constant:zero", dset, 5)
 
-    class Bad:
-        dimension, horizon = 4, 5
-
-        def loss(self, t):
-            return np.array([1.0, 1.0, 0.0, 0.0])
-
     def factory(rng):
-        return Bad()
+        return cl.ConstantStream([1.0, 1.0, 0.0, 0.0], 5)
 
     import comblab.harness as hz
     orig = hz.build_adversary
@@ -256,12 +250,9 @@ def test_trial_error_context():
 def test_trial_error_keeps_the_validation_report(monkeypatch):
     import comblab.harness as hz
 
-    class Infeasible:
-        def loss(self, t):
-            return np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-
-    monkeypatch.setattr(hz, "build_adversary",
-                        lambda *a, **k: (lambda rng: Infeasible()))
+    infeasible = [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
+        lambda rng: cl.ConstantStream(infeasible, 4)))
     cfg = cl.ExperimentConfig("mset:6:2", ["hedge"], "constant:zero",
                               horizon=4)
     with pytest.raises(cl.ValidationError, match="trial 0, round 1") as info:
@@ -273,29 +264,23 @@ def test_trial_error_keeps_the_validation_report(monkeypatch):
 
 @pytest.mark.parametrize("set_spec", ["mset:16:4", "multitask:2,3",
                                       "dag-layered:16:32"])
-def test_wrong_length_loss_fails_validation_before_absorb(monkeypatch,
-                                                         set_spec):
-    class WrongLength:  # a zero loss in round 1, 8 entries from round 2
-        def __init__(self, dim):
-            self.dim = dim
-
-        def loss(self, t):
-            return np.zeros(self.dim if t == 1 else 8)
-
+def test_wrong_width_stream_fails_validation_before_absorb(monkeypatch,
+                                                           set_spec):
+    # zero losses of 8 entries: every row has the wrong width
     absorbed = []
-    monkeypatch.setattr(hz, "build_adversary", lambda spec, dset, *a, **k: (
-        lambda rng: WrongLength(dset.dimension)))
+    monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
+        lambda rng: cl.ConstantStream(np.zeros(8), 4)))
     monkeypatch.setattr(cl.learners.Learner, "absorb",
                         lambda self, y: absorbed.append(len(y)))
     dim = cl.build_set(set_spec).dimension
     cfg = cl.ExperimentConfig(set_spec, ["hedge"], "constant:zero",
                               horizon=4, trials=2)
     with pytest.raises(cl.ValidationError,
-                       match=f"trial 0, round 2: loss vector has 8 entries, "
+                       match=f"trial 0, round 1: loss vector has 8 entries, "
                              f"the decision set {dim}") as info:
         cl.run_experiment(cfg)
-    assert (info.value.trial, info.value.round) == (0, 2)
-    assert not info.value.report.ok and absorbed == [dim]
+    assert (info.value.trial, info.value.round) == (0, 1)
+    assert not info.value.report.ok and absorbed == []
 
 
 def test_each_loss_is_validated_once_per_round(monkeypatch):
@@ -331,14 +316,31 @@ def test_each_loss_is_validated_once_per_round(monkeypatch):
     assert events.count(1) == 20 and events.count("absorb") == 40
 
 
+@pytest.mark.parametrize("set_spec, adversary", [
+    ("mset:8:2", "mset-lb"), ("mset:8:2", "hedge-killer"),
+    ("mset:8:2", "universal"), ("multitask:2,3", "multitask-phases"),
+    ("dag-layered:16:32", "dag-layered:16:32"), ("mset:8:2", "gaussian"),
+    ("mset:8:2", "constant:zero")])
+def test_each_round_asks_the_stream_for_its_loss_once(monkeypatch, set_spec,
+                                                      adversary):
+    rounds = Counter()
+    for cls in cl.adversaries.LossStream.__subclasses__():
+        def counted(self, t, loss=vars(cls)["loss"]):
+            rounds[t] += 1
+            return loss(self, t)
+        monkeypatch.setattr(cls, "loss", counted)
+    cfg = cl.ExperimentConfig(set_spec, ["hedge", "hedge:eta=0.5"], adversary,
+                              horizon=12, trials=3, mode="sampled")
+    cl.run_experiment(cfg)
+    assert rounds == Counter({t: 3 for t in range(1, 13)})
+
+
 @pytest.mark.parametrize("bad_round", [1, 3])
 def test_a_bad_loss_fails_in_its_round(monkeypatch, bad_round):
-    class BadAt:  # feasible zeros, but for one round
-        def __init__(self, dim, bad):
-            self.dim, self.bad = dim, bad
-
-        def loss(self, t):
-            return self.bad.copy() if t == bad_round else np.zeros(self.dim)
+    class BadAt(cl.adversaries.LossStream):  # zeros, but for one round
+        def __init__(self, bad):
+            super().__init__(len(bad), 5)
+            self.losses[bad_round - 1] = bad
 
     absorbed = []
     monkeypatch.setattr(cl.learners.Learner, "absorb",
@@ -354,23 +356,24 @@ def test_a_bad_loss_fails_in_its_round(monkeypatch, bad_round):
                 (np.full(dim, 2.0), "loss vector with action-loss"),
                 (nan, "loss vector with action-loss inf")):
             monkeypatch.setattr(hz, "build_adversary", lambda *a, **k: (
-                lambda rng: BadAt(dim, bad)))
+                lambda rng: BadAt(bad)))
             absorbed.clear()
             cfg = cl.ExperimentConfig("set", ["hedge"], "constant:zero",
                                       horizon=5, trials=2)
+            # a stream of the wrong width fails in round 1, whatever its rows
+            fails_in = bad_round if bad.size == dim else 1
             with pytest.raises(cl.ValidationError,
-                               match=f"trial 0, round {bad_round}: {message}"):
+                               match=f"trial 0, round {fails_in}: {message}"):
                 cl.run_experiment(cfg, decision_set=dset)
-            assert absorbed == [dim] * (bad_round - 1)
+            assert absorbed == [dim] * (fails_in - 1)
 
 
-def test_a_stream_error_keeps_its_round_and_comes_before_any_absorb(
+def test_a_stream_build_error_is_round_0_and_comes_before_any_absorb(
         monkeypatch):
-    class Failing:
-        def loss(self, t):
-            if t == 3:
-                raise cl.PreconditionError("no loss for this round")
-            return np.zeros(8)
+    class Failing(cl.adversaries.LossStream):
+        def __init__(self):
+            super().__init__(8, 5)
+            raise cl.PreconditionError("no losses for this trial")
 
     absorbed = []
     monkeypatch.setattr(hz, "build_adversary",
@@ -380,9 +383,9 @@ def test_a_stream_error_keeps_its_round_and_comes_before_any_absorb(
     cfg = cl.ExperimentConfig("mset:8:2", ["hedge"], "constant:zero",
                               horizon=5)
     with pytest.raises(cl.PreconditionError,
-                       match="trial 0, round 3: no loss for this round") as info:
+                       match="trial 0, round 0: no losses for this trial") as info:
         cl.run_experiment(cfg)
-    assert (info.value.trial, info.value.round) == (0, 3) and absorbed == []
+    assert (info.value.trial, info.value.round) == (0, 0) and absorbed == []
 
 
 def test_an_overflowing_running_sum_fails_in_one_line(tmp_path, capsys):
@@ -506,6 +509,23 @@ def test_one_vertex_sets_fail_in_one_line(tmp_path, capsys):
                        "omd-entropy-dag:eta=0.3\nadversary=gaussian\nT=5\n")
     assert cli_main(["run", str(cfgfile)]) == 0
     assert cli_main(["equiv-check", str(chain), "--T", "5"]) == 0
+
+
+def test_a_dag_source_or_sink_out_of_range_fails_in_one_line(tmp_path,
+                                                             capsys):
+    for ends, message in (("0 7", "sink 7"), ("0 5", "sink 5"),
+                          ("-1 2", "source -1")):
+        dagfile = tmp_path / "g.dag"
+        dagfile.write_text(f"dag 3 2 {ends}\n0 1\n1 2\n")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"set=dag:{dagfile}\nlearner=hedge\n"
+                           "adversary=gaussian\nT=5\n")
+        assert cli_main(["run", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"comblab: PreconditionError: set spec "
+                                f"'dag:{dagfile}': {message} out of range for "
+                                f"3 vertices\n")
 
 
 def test_dag_layered_builds_past_the_float_range(tmp_path):
@@ -1215,13 +1235,10 @@ def test_hedge_tripwire_fires_on_corrupt_policy():
                                   seed=0)
         dummy = cl.build_adversary("constant:zero", dset, 400)
 
-        class Fixed:
-            def loss(self, t):
-                return np.array([1.0, 0.0])
-
         import comblab.harness as hz
         saved = hz.build_adversary
-        hz.build_adversary = lambda *a, **k: (lambda rng: Fixed())
+        hz.build_adversary = lambda *a, **k: (
+            lambda rng: cl.ConstantStream([1.0, 0.0], 400))
         try:
             with pytest.raises(cl.InternalConsistencyError, match="tripwire"):
                 cl.run_experiment(cfg, decision_set=dset)
