@@ -46,7 +46,7 @@ rng = RngStream(12, 0)
 for i in range(5):
     g = random_layered_dag(rng, max_edges=15)
     stream = cl.GaussianFeasibleStream(cl.DagPathSet(g), 50, rng.substream(i))
-    rep = cl.check_iterate_equivalence(g, stream, eta=0.3, horizon=50)
+    rep = cl.check_iterate_equivalence(g, stream, eta=0.3)
     print(f"  graph {i}: {g.n_edges} edges, {g.path_count()} paths, "
           f"max gap {rep.max_gap:.2e} -> {'pass' if rep.passed else 'FAIL'}")
 

@@ -6,7 +6,7 @@ Hedge's regret stays above the m-set mirror-descent learner's at every
 rate; the ratio is reported (the asymptotic growth factor is not asserted
 at desk scale).
 
-Runtime: about a minute.
+Runtime: about 17 s (Python 3.11, numpy 2.4, 2 shared CPUs).
 """
 
 import math

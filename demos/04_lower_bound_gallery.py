@@ -5,7 +5,8 @@ force sqrt(T)-scale regret per index, multitask phases add up per-block
 hardness, and the layered DAG realises a path-count lower bound within an
 edge budget.  Constants are not asserted -- rates are printed side by side.
 
-Runtime: a few minutes (the universal demo runs 200 repetitions).
+Runtime: about 26 s (Python 3.11, numpy 2.4, 2 shared CPUs); the universal
+demo runs 200 repetitions.
 """
 
 import json

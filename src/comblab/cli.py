@@ -101,8 +101,7 @@ def _run(args):
         dag = _read(load_dag, args.dag_file)
         stream = GaussianFeasibleStream(DagPathSet(dag), args.T,
                                         RngStream(args.seed, 0))
-        report = check_iterate_equivalence(dag, stream, args.eta, args.T,
-                                           tol=args.tol)
+        report = check_iterate_equivalence(dag, stream, args.eta, tol=args.tol)
         status = "PASS" if report.passed else "FAIL"
         print(f"{status}: max per-round policy gap {report.max_gap:.3e} "
               f"(tolerance {report.tolerance:.1e}, {args.T} rounds)")

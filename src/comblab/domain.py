@@ -470,15 +470,16 @@ class DecisionSet:
         raise NotImplementedError
 
     def validate_loss(self, y):
-        """Check ``max_x |<x, y>| <= 1 + FEAS_TOL``; report a witness on
-        failure.  A vector of the wrong shape or with a non-finite entry
-        fails with value inf and no witness."""
+        """Check ``max_x |<x, y>| <= 1 + FEAS_TOL`` by the one-row
+        :meth:`validate_losses`; report a witness on failure.  A vector of
+        the wrong shape or with a non-finite entry fails with value inf and
+        no witness, as does one whose value overflows."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dimension,) or not np.all(np.isfinite(y)):
+        if y.shape != (self.dimension,):
             return LossCheck(False, float("inf"), None)
-        value = self.dual_norm(y)
-        if value <= 1.0 + FEAS_TOL:
-            return LossCheck(True, float(value), None)
+        (ok,), (value,) = self.validate_losses(y[None])
+        if ok or value == np.inf:  # inf: a non-finite entry, or an overflow
+            return LossCheck(bool(ok), float(value), None)
         return LossCheck(False, float(value), self.dual_witness(y))
 
     def validate_losses(self, ys):
@@ -520,7 +521,7 @@ class ExplicitSet(DecisionSet):
             raise PreconditionError("vertices must be binary")
         order = np.lexsort(mat[:, ::-1].T)[::-1]  # descending lexicographic
         mat = mat[order]
-        if any(np.array_equal(mat[i], mat[i + 1]) for i in range(len(mat) - 1)):
+        if (mat[1:] == mat[:-1]).all(axis=1).any():  # sorted: neighbours
             raise PreconditionError("vertices must be distinct")
         self.vertices = mat
         self.dimension = mat.shape[1]

@@ -566,27 +566,29 @@ class EquivalenceReport:
         return self.max_gap <= self.tolerance
 
 
-def check_iterate_equivalence(dag, stream, eta, horizon, tol=1e-6):
+def check_iterate_equivalence(dag, stream, eta, *, tol=1e-6):
     """Run numeric-KKT dilated-entropy mirror descent and weight-pushing
-    Hedge on the same stream; report the per-round sup-norm policy gap.
+    Hedge on the stream's losses; report the per-round sup-norm policy gap.
 
     The mirror-descent side solves each proximal step numerically, apart
     from weight pushing, so the comparison is non-circular.  Solver
     failures propagate.  A tolerance that is not a finite non-negative
-    number raises :class:`PreconditionError` before round 1.
+    number raises :class:`PreconditionError` before round 1.  The losses
+    are checked as :func:`run_experiment` checks them: in one batched
+    pass, and from the first that fails, :func:`check_loss` raises in its
+    round, after both learners have absorbed the rounds before it.
     """
-    if horizon < 1:
-        raise PreconditionError(f"need horizon >= 1, got {horizon}")
     if not 0.0 <= tol < math.inf:
         raise PreconditionError(f"tolerance must be finite and non-negative, "
                                 f"got {tol!r}")
     dset = DagPathSet(dag)
     omd = DilatedOmd(dset, eta)
     hedge = PathHedge(dset, eta)
-    gaps = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        y = stream.loss(t)
-        check_loss(dset, y)
+    n_ok, _ = _feasible_prefix(dset, stream.losses)
+    gaps = np.zeros(stream.horizon)
+    for t, y in enumerate(stream.losses, 1):
+        if t > n_ok:  # the first loss that fails: raises here
+            check_loss(dset, y)
         gaps[t - 1] = float(np.max(np.abs(omd.propose() - hedge.propose())))
         omd.absorb(y)
         hedge.absorb(y)
@@ -681,7 +683,7 @@ def _demo_dag_minimax(seed):
     # stream certifies that dilated-entropy OMD has Hedge's iterates.
     equivalence = check_iterate_equivalence(
         dag, factory(RngStream(seed, 0, 0)),
-        default_learning_rate(dset, cfg.horizon), cfg.horizon)
+        default_learning_rate(dset, cfg.horizon))
     return {
         "instance": f"layered DAG {meta}",
         "measured": {k: v["mean_final_regret"] for k, v in res.summary.items()},

@@ -77,8 +77,11 @@ def draw_paths(dag, flows, uniforms):
     layout = dag.draw_layout
     lowest = flows.min(initial=np.inf)  # NaN if any entry is
     thin = not lowest > _NO_FLOW  # only then can a vertex lack outflow
-    bad = None if _bounded(dag, flows, lowest) else ~(
-        (flows >= 0.0) & (flows < np.inf)).all(axis=1)
+    # non-negative (not NaN) and too small for an outflow of at most n_edges
+    # terms to overflow: rounding keeps it below twice their exact sum
+    bounded = (lowest >= 0.0 and float(flows.max(initial=0.0))
+               * (2 * dag.n_edges) <= _FLOAT_MAX)
+    bad = None if bounded else ~((flows >= 0.0) & (flows < np.inf)).all(axis=1)
     picks = np.empty((len(flows), dag.n_vertices), dtype=np.intp)
     picks[:] = layout.start  # -1: no way on
     if thin:
@@ -117,15 +120,6 @@ def draw_paths(dag, flows, uniforms):
     return paths, None
 
 
-def _bounded(dag, flows, lowest):
-    """Whether ``flows``, whose least entry is ``lowest``, is non-negative
-    and small enough that no outflow sum overflows: it has at most
-    ``n_edges`` terms, and rounding keeps it far below twice their exact
-    sum.  False on a NaN entry."""
-    return (lowest >= 0.0
-            and float(flows.max(initial=0.0)) * (2 * dag.n_edges) <= _FLOAT_MAX)
-
-
 def sample_path(dag, flow, rng):
     """Draw an s-t path by the Markovian rule: leave vertex ``u`` along edge
     ``e`` with probability ``flow[e] / flow[u]``.
@@ -146,18 +140,15 @@ def sample_path(dag, flow, rng):
     -------
     ndarray of 0/1 floats, the edge-indicator of the sampled path.
 
-    Raises :class:`PreconditionError`, before any draw, if ``flow`` has a
-    negative or non-finite entry or an outflow that overflows, and
+    Raises :class:`PreconditionError` if ``flow`` has a negative or
+    non-finite entry or an outflow that overflows, and
     :class:`DegenerateVertex` at a vertex on the way with no outgoing flow.
+    Either way the uniforms have been drawn, as for a rejected row of
+    :func:`draw_paths`.
     """
     flows = np.asarray(flow, dtype=float)[None]
-    shape = (1, dag.draw_layout.branching)
-    if not _bounded(dag, flows, flows.min(initial=np.inf)):
-        # the row check reads no uniform, so a dry run finds a rejected row
-        _, error = draw_paths(dag, flows, np.zeros(shape))
-        if isinstance(error, PreconditionError):
-            raise error
-    paths, error = draw_paths(dag, flows, rng.generator.random(shape))
+    paths, error = draw_paths(
+        dag, flows, rng.generator.random((1, dag.draw_layout.branching)))
     if error is not None:
         raise error
     x = np.zeros(dag.n_edges)

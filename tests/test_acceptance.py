@@ -36,7 +36,7 @@ def test_criterion_1_iterate_equivalence():
         dag = random_layered_dag(rng, max_edges=15)
         dset = cl.DagPathSet(dag)
         stream = cl.GaussianFeasibleStream(dset, 50, rng.substream(i))
-        rep = cl.check_iterate_equivalence(dag, stream, 0.3, 50, tol=1e-6)
+        rep = cl.check_iterate_equivalence(dag, stream, 0.3, tol=1e-6)
         worst = max(worst, rep.max_gap)
     elapsed = time.monotonic() - start
     report(1, worst <= 1e-6 and elapsed < 60.0,

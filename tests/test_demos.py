@@ -1,9 +1,9 @@
 """The quick demos run end to end.
 
 ``demos/01_hedge_basics.py`` and ``demos/02_dag_weight_pushing.py`` take a
-few seconds each.  ``demos/03_mset_separation.py`` (about 45 s) and
-``demos/04_lower_bound_gallery.py`` (a few minutes) are left out of this
-suite for their run time.
+second or two each.  ``demos/03_mset_separation.py`` (about 17 s) and
+``demos/04_lower_bound_gallery.py`` (about 26 s), timed on 2 shared CPUs,
+are left out of this suite for their run time.
 """
 
 import pathlib

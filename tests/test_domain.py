@@ -60,6 +60,17 @@ def test_explicit_set_rejects_bad_input():
         cl.MSet(4, 3)  # m > d/2
 
 
+def test_explicit_set_finds_a_duplicate_among_many_vertices():
+    # all 2**16 vertices of the 16-cube, then one of them again: after the
+    # sort the two copies are neighbours, anywhere in the order
+    cube = (np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1
+    assert cl.ExplicitSet(cube).count() == 2 ** 16
+    for row in (0, 12345, 2 ** 16 - 1):
+        with pytest.raises(cl.PreconditionError,
+                           match="^vertices must be distinct$"):
+            cl.ExplicitSet(np.vstack([cube, cube[row]]))
+
+
 # ---------------------------------------------------------------------------
 # dual norm
 # ---------------------------------------------------------------------------

@@ -312,8 +312,51 @@ def test_each_loss_is_validated_once_per_round(monkeypatch):
     events.clear()
     dag = diamond_dag()
     stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 20, RngStream(6, 0))
-    cl.check_iterate_equivalence(dag, stream, 0.3, 20)
-    assert events.count(1) == 20 and events.count("absorb") == 40
+    cl.check_iterate_equivalence(dag, stream, 0.3)
+    assert events == [20] + ["absorb"] * 40
+
+
+def test_only_the_experiment_loop_reads_a_stream_by_round(monkeypatch):
+    # the adversary properties and the certifier read ``stream.losses``
+    import comblab.adversaries as adv
+    import comblab.properties as props
+
+    calls = []
+    for cls in vars(adv).values():
+        if isinstance(cls, type) and issubclass(cls, adv.LossStream):
+            def counted(self, t, _loss=vars(cls)["loss"]):
+                calls.append(t)
+                return _loss(self, t)
+            monkeypatch.setattr(cls, "loss", counted)
+    assert props.prop_adversary_feasibility(0).passed
+    assert props.prop_adversary_zero_mean(0).passed
+    dag = diamond_dag()
+    stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 20, RngStream(6, 0))
+    assert cl.check_iterate_equivalence(dag, stream, 0.3).passed
+    assert calls == []
+    cl.run_experiment(cl.ExperimentConfig("mset:6:2", ["hedge"], "mset-lb",
+                                          horizon=5, trials=1))
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def test_certifier_raises_in_the_round_of_the_first_infeasible_loss(
+        monkeypatch):
+    dag = diamond_dag()
+    stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 6, RngStream(6, 1))
+    stream.losses[2] = 2.0
+    absorbed = []
+    absorb = cl.learners.Learner.absorb
+
+    def absorbing(self, y):
+        absorbed.append((type(self).__name__, y.tolist()))
+        return absorb(self, y)
+
+    monkeypatch.setattr(cl.learners.Learner, "absorb", absorbing)
+    with pytest.raises(cl.ValidationError, match="exceeds the unit bound"):
+        cl.check_iterate_equivalence(dag, stream, 0.3)
+    rows = stream.losses[:2].tolist()
+    assert absorbed == [(name, row) for row in rows
+                        for name in ("DilatedOmd", "PathHedge")]
 
 
 @pytest.mark.parametrize("set_spec, adversary", [
@@ -1026,14 +1069,14 @@ def test_summary_json_shape():
 def test_equivalence_single_path_zero_gap():
     dag = chain_dag(3)
     stream = cl.ConstantStream(np.array([0.2, -0.1, 0.3]), 10)
-    rep = cl.check_iterate_equivalence(dag, stream, 0.5, 10, tol=1e-12)
+    rep = cl.check_iterate_equivalence(dag, stream, 0.5, tol=1e-12)
     assert rep.passed and rep.max_gap <= 1e-12
 
 
 def test_equivalence_diamond_random_stream():
     dag = diamond_dag()
     stream = cl.GaussianFeasibleStream(cl.DagPathSet(dag), 50, RngStream(6, 0))
-    rep = cl.check_iterate_equivalence(dag, stream, 0.3, 50, tol=1e-6)
+    rep = cl.check_iterate_equivalence(dag, stream, 0.3, tol=1e-6)
     assert rep.passed
     assert rep.gaps.shape == (50,)
 
@@ -1062,7 +1105,7 @@ def test_equivalence_solver_failure_propagates():
     ln.flow_prox_newton = broken
     try:
         with pytest.raises(cl.SolverFailure):
-            cl.check_iterate_equivalence(dag, stream, 0.5, 3)
+            cl.check_iterate_equivalence(dag, stream, 0.5)
     finally:
         ln.flow_prox_newton = orig
 
@@ -1094,8 +1137,10 @@ def test_cli_equiv_check(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("comblab: PreconditionError: need horizon "
                                 f">= 1, got {horizon}\n")
+    # the horizon is the stream's; the tolerance is keyword-only, so an
+    # old positional horizon cannot pass for it
     stream = cl.ConstantStream(np.zeros(4), 5)
-    with pytest.raises(cl.PreconditionError, match="got 0"):
+    with pytest.raises(TypeError):
         cl.check_iterate_equivalence(cl.load_dag(str(dagfile)), stream, 0.3, 0)
     # a negative value in exponent form, as a separate token, reaches the
     # value's own check rather than stopping in argparse

@@ -211,36 +211,50 @@ def test_a_batch_of_uniforms_is_as_many_draws_one_at_a_time():
     assert _same_state(batched.bit_generator.state, single.bit_generator.state)
 
 
-@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
-def test_sample_path_rejects_a_bad_flow_before_drawing(bad):
-    # Generator.choice rejects such probabilities; the check runs once per
-    # call, on the whole flow, before any draw.
-    dag = diamond_dag()
-    flow = np.array([0.5, 0.5, 0.5, 0.5])
-    flow[3] = bad
-    rng = RngStream(45, 0)
-    with pytest.raises(cl.PreconditionError, match="finite and non-negative"):
-        sample_path(dag, flow, rng)
-    assert _same_state(rng.generator.bit_generator.state,
-                       RngStream(45, 0).generator.bit_generator.state)
+_FAIR = [0.5, 0.3, 0.25, 0.25, 0.15, 0.15, 0.2, 0.2]
+
+
+@pytest.mark.parametrize("flow", [
+    pytest.param(_FAIR, id="fair"),
+    pytest.param([1.0, 0, 0, 0, 0, 0, 0, 0], id="starved"),
+    pytest.param(_FAIR[:3] + [-1e-3] + _FAIR[4:], id="negative"),
+    pytest.param(_FAIR[:3] + [np.nan] + _FAIR[4:], id="nan"),
+    pytest.param(_FAIR[:3] + [np.inf] + _FAIR[4:], id="inf"),
+    pytest.param([1e308] * 8, id="overflow")])
+def test_sample_path_is_one_row_of_draw_paths(flow):
+    # the same path, or the same error, and the same generator state as
+    # draw_paths on the generator's random((1, branching)); a rejected
+    # flow takes its uniforms as a rejected row of a planned chunk does
+    dag = cl.Dag(5, [(0, 1), (0, 2), (1, 3), (1, 3), (2, 3), (2, 3),
+                     (0, 4), (4, 3)], 0, 3)
+    flow = np.array(flow)
+    ours, theirs = RngStream(45, 0), RngStream(45, 0)
+    for _ in range(20):
+        try:
+            got = np.flatnonzero(sample_path(dag, flow, ours)).tolist()
+        except cl.ComblabError as error:
+            got = (type(error), str(error))
+        uniforms = theirs.generator.random((1, dag.draw_layout.branching))
+        paths, error = draw_paths(dag, flow[None], uniforms)
+        assert got == (sorted(paths[0]) if error is None
+                       else (type(error), str(error)))
+        assert _same_state(ours.generator.bit_generator.state,
+                           theirs.generator.bit_generator.state)
 
 
 def test_a_flow_whose_outflow_overflows_is_rejected_without_warning():
     # 1e308 on both out-edges of the source: their sum overflows.  Such a
-    # row is rejected before any draw, as Generator.choice rejects its
-    # probabilities; a row drawn beside it keeps its own path.
+    # row is rejected, as Generator.choice rejects its probabilities; a row
+    # drawn beside it keeps its own path.
     dag = diamond_dag()
     big, fair = np.full(4, 1e308), np.array([0.3, 0.7, 0.3, 0.7])
     uniforms = np.array([[0.5], [0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rng = RngStream(56, 0)
         with pytest.raises(cl.PreconditionError, match="finite and non-negative"):
-            sample_path(dag, big, rng)
+            sample_path(dag, big, RngStream(56, 0))
         paths, error = draw_paths(dag, np.array([fair, big]), uniforms)
         first, first_error = draw_paths(dag, np.array([big, fair]), uniforms)
-    assert _same_state(rng.generator.bit_generator.state,
-                       RngStream(56, 0).generator.bit_generator.state)
     assert paths == [[1, 3]] and isinstance(error, cl.PreconditionError)
     assert first == [] and isinstance(first_error, cl.PreconditionError)
 
