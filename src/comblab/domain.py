@@ -279,6 +279,40 @@ class Dag:
             dist[scatter] = reduceat(w[lo:hi] + dist[gather], starts)
         return dist[:n], dist[n:]
 
+    @functools.cached_property
+    def _forward_levels(self):
+        """``(edge_order, levels)``: the forward slots of ``compiled``,
+        built on first use.  A level's slots are sorted, so its forward
+        ones, ``n_vertices`` on, are the last groups of its slice; they
+        keep their order, and their slots are shifted to index the
+        ``n_vertices`` forward values alone."""
+        compiled, n = self.compiled, self.n_vertices
+        keep, levels, size = [], [], 0
+        for lo, hi, gather, starts, scatter in compiled.levels:
+            first = int(np.searchsorted(scatter, n))
+            if first == len(scatter):
+                continue
+            skip = int(starts[first])
+            keep.append(np.arange(lo + skip, hi))
+            levels.append((size, size + hi - lo - skip, gather[skip:] - n,
+                           starts[first:] - skip, scatter[first:] - n))
+            size += hi - lo - skip
+        positions = np.concatenate(keep) if keep else np.arange(0)
+        return compiled.edge_order[positions], tuple(levels)
+
+    def forward_pass(self, values, reduce):
+        """``semiring_pass(values, reduce)[1]``, bit for bit, from the
+        forward levels alone: at each vertex, the ``reduce``-sum over
+        source-to-vertex paths of the path's summed values."""
+        order, levels = self._forward_levels
+        w = np.asarray(values, dtype=float)[order]
+        dist = np.full((self.n_vertices,) + w.shape[1:], _SEMIRING_ZERO[reduce])
+        dist[self.source] = 0.0
+        reduceat = reduce.reduceat
+        for lo, hi, gather, starts, scatter in levels:
+            dist[scatter] = reduceat(w[lo:hi] + dist[gather], starts)
+        return dist
+
     def enumerate_paths(self):
         """All s-t paths as edge indicators, in DFS order (lowest edge first)."""
         if self.path_count() > ENUMERATION_CAP:
@@ -484,12 +518,16 @@ class DecisionSet:
 
     def validate_losses(self, ys):
         """:meth:`validate_loss` of every row of the ``(k, d)`` array ``ys``
-        in one pass, without witnesses: ``(ok, value)``, one entry per row."""
+        in one pass, without witnesses: ``(ok, value)``, one entry per row.
+        A row whose action-losses leave the float range gets value inf: a
+        sum that overflows reads inf, or NaN where sums of both signs do."""
         ys = np.asarray(ys, dtype=float)
         finite = np.isfinite(ys).all(axis=1)
         if not finite.all():
             ys = np.where(finite[:, None], ys, 0.0)
-        value = np.where(finite, self._dual_norms(ys), np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = self._dual_norms(ys)
+        value = np.where(finite & ~np.isnan(norms), norms, np.inf)
         return value <= 1.0 + FEAS_TOL, value
 
     def best_vertex(self, cum_loss):
@@ -511,12 +549,15 @@ class ExplicitSet(DecisionSet):
     """Decision set given by an explicit list of distinct binary vectors."""
 
     def __init__(self, vectors):
-        lengths = sorted({np.size(v) for v in vectors})
-        if len(lengths) > 1:
-            raise PreconditionError(f"vertices of unequal lengths {lengths}")
-        mat = np.asarray(vectors, dtype=float)
+        shape_error = "need a non-empty 2-D array of vertices"
+        try:
+            mat = np.asarray(vectors, dtype=float)
+        except ValueError:  # ragged: only then are the lengths scanned
+            lengths = sorted({np.size(v) for v in vectors})
+            raise PreconditionError(f"vertices of unequal lengths {lengths}"
+                                    if len(lengths) > 1 else shape_error) from None
         if mat.ndim != 2 or mat.shape[0] == 0:
-            raise PreconditionError("need a non-empty 2-D array of vertices")
+            raise PreconditionError(shape_error)
         if not np.all((mat == 0.0) | (mat == 1.0)):
             raise PreconditionError("vertices must be binary")
         order = np.lexsort(mat[:, ::-1].T)[::-1]  # descending lexicographic
@@ -602,8 +643,8 @@ class PathSetMixin:
         return self.dag.enumerate_paths()
 
     def best_values(self, cum_losses):
-        _, lo = self.dag.semiring_pass(np.asarray(cum_losses, dtype=float).T,
-                                       np.minimum)
+        lo = self.dag.forward_pass(np.asarray(cum_losses, dtype=float).T,
+                                   np.minimum)
         return lo[self.dag.sink]
 
     def best_vertex(self, cum_loss):

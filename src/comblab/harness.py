@@ -5,8 +5,9 @@ Spec strings
 ------------
 ``name:<part>:...`` then ``:key=value`` options, as the tables :data:`SETS`,
 :data:`LEARNERS` and :data:`ADVERSARIES` define them and :func:`spec_table`
-prints them (``comblab run --help``).  A spec that does not fit its entry
-raises :class:`PreconditionError` naming it, before round 1.
+prints them (``comblab run --help``).  A spec that does not fit its entry,
+or repeats an option, raises :class:`PreconditionError` naming it, before
+round 1.
 
 Config files are flat ``key=value`` text with keys ``set``, ``learner``
 (comma-separated), ``adversary``, ``T``, ``trials``, ``seed``, ``mode``,
@@ -27,9 +28,9 @@ from .domain import (DagPathSet, DecisionSet, ExplicitSet, MSet, MultitaskSet,
                      load_dag)
 from .errors import ComblabError, InternalConsistencyError, PreconditionError
 from .instances import hypercube_set
-from .learners import (DilatedOmd, EntropyDagOmd, MSetOmd, PathHedge,
-                       check_loss, dag_entropy_rate, default_learning_rate,
-                       make_hedge, mset_omd_rate)
+from .learners import (PLAN_ENTRIES, DilatedOmd, EntropyDagOmd, MSetOmd,
+                       PathHedge, check_loss, dag_entropy_rate,
+                       default_learning_rate, make_hedge, mset_omd_rate)
 from .sampling import RngStream
 
 
@@ -297,7 +298,11 @@ def _parsed(spec, kind, decision_set=None):
         entry = registry[name]
         converters = {**entry.options, **common}
         args = [part for part in parts if "=" not in part]
-        options = dict(part.split("=", 1) for part in parts if "=" in part)
+        options = {}
+        for key, val in (part.split("=", 1) for part in parts if "=" in part):
+            if key in options:
+                raise PreconditionError(f"option {key} is repeated")
+            options[key] = val
         if len(args) != len(entry.args):
             raise PreconditionError(f"{name} takes {len(entry.args)} "
                                     f"positional part(s), got {args}")
@@ -424,26 +429,34 @@ def run_experiment(config, decision_set=None):
 
     In ``expected`` mode the learner is charged ``<policy, y>``; in
     ``sampled`` mode a vertex is drawn (expectation-matched to the policy,
-    on DAG paths by ``sample_path``) and charged instead.  Losses are
-    checked and scored per trial: before round 1 the stream's T losses are
-    checked in one batched ``validate_losses`` and their running
-    sums scored in one batched ``best_values`` (on DAG and multitask sets
-    one forward shortest-path pass for every prefix), so regret curves
-    are exact at every horizon.  A
-    running sum that is not finite raises :class:`PreconditionError`.  The
-    same prefix sums plan every :class:`PathHedge` outside m-sets
-    (:meth:`PathHedge.plan`): its policies come from one weight-pushing pass
-    per chunk of ``PLAN_ENTRIES // E`` rounds on a graph of ``E`` edges,
-    shared by the learners of one rate, in place of one pass per learner
-    and round.  In sampled mode each learner draws a chunk's paths in one
-    ``draw_paths`` call, by one batch of uniforms of its own stream, so the
-    paths and the sampler state are those of ``sample_path`` per round.  On
-    m-sets the pass is bound by ``logaddexp`` and batching gains nothing,
-    so they stay per round.  The check and the sums read the stream's
-    ``(T, d)`` array ``losses``; the loop then calls ``stream.loss(t)``
-    once per round, and from the first loss that fails the check it calls
-    :func:`check_loss` on it, so that error comes in its round, before any
-    learner absorbs that loss.
+    on DAG paths by ``sample_path``) and charged instead.
+
+    A trial is checked before round 1: the stream's ``(T, d)`` array
+    ``losses`` goes through one batched ``validate_losses``, and its
+    running sums through one batched ``best_values`` (on DAG and multitask
+    sets one forward min pass, ``Dag.forward_pass``, for every prefix), so
+    regret curves are exact at every horizon.  A running sum that is not
+    finite raises :class:`PreconditionError`.  The same prefix sums plan
+    every :class:`PathHedge` outside m-sets (:meth:`PathHedge.plan`): its
+    policies come from one weight-pushing pass per chunk of
+    ``PLAN_ENTRIES // E`` rounds on a graph of ``E`` edges, shared by the
+    learners of one rate, in place of one pass per learner and round.  In
+    sampled mode each learner draws a chunk's paths in one ``draw_paths``
+    call, by one batch of uniforms of its own stream, so the paths and the
+    sampler state are those of ``sample_path`` per round.  On m-sets the
+    pass is bound by ``logaddexp`` and batching gains nothing, so they stay
+    per round.
+
+    Each round the loop calls ``stream.loss(t)``, then, learner by learner,
+    ``propose``, ``sample`` (sampled mode) and ``absorb``.  From the first
+    loss that fails the check it calls :func:`check_loss` on it, so that
+    error comes in its round, before any learner absorbs that loss; a draw
+    that fails raises in its round too.  The loop copies each policy and
+    each draw into a block of ``PLAN_ENTRIES // d`` rounds (at least one);
+    a full block, and the trial's last, is charged against its rows of
+    ``losses`` in one ``matmul`` of vector pairs, whose products are bit
+    for bit the per-round ``float(policy @ y)`` (numpy takes the same
+    ``ddot`` for both).
 
     Hedge-family learners are additionally checked against the classical
     ``ln|X|/eta + eta*T/2`` bound on their expected-mode regret; violating
@@ -456,12 +469,16 @@ def run_experiment(config, decision_set=None):
     dset = decision_set if decision_set is not None else build_set(config.set_spec)
 
     adv_factory = None
-    n = len(config.learner_specs)
+    n, sampled = len(config.learner_specs), config.mode == "sampled"
+    rows = min(config.horizon, max(1, PLAN_ENTRIES // dset.dimension))
     ledgers = {spec: [] for spec in config.learner_specs}
     for trial in range(config.trials):
-        loss_hist = np.zeros((n, config.horizon))
         exp_loss_hist = np.zeros((n, config.horizon))
+        loss_hist = np.zeros((n, config.horizon)) if sampled else exp_loss_hist
         cum_best = np.zeros(config.horizon)
+        # a block of rounds: each learner's policies and, sampled, its draws
+        policies = np.empty((n, rows, dset.dimension))
+        draws = np.empty_like(policies) if sampled else None
         t = 0
         try:
             learners = [build_learner(spec, dset, config.horizon, config.eta)
@@ -487,16 +504,18 @@ def run_experiment(config, decision_set=None):
                 y = stream.loss(t)  # the one call; perfbench's tracer reads t
                 if t > n_ok:  # the first loss that fails: raises here
                     check_loss(dset, y)
+                row = (t - 1) % rows
                 for i, learner in enumerate(learners):
-                    policy = learner.propose()
-                    expected = float(policy @ y)
-                    if config.mode == "sampled":
-                        x = learner.sample(sample_rngs[i])
-                        loss_hist[i, t - 1] = float(x @ y)
-                    else:
-                        loss_hist[i, t - 1] = expected
-                    exp_loss_hist[i, t - 1] = expected
+                    policies[i, row] = learner.propose()
+                    if sampled:
+                        draws[i, row] = learner.sample(sample_rngs[i])
                     learner.absorb(y)
+                if row == rows - 1 or t == config.horizon:  # charge the block
+                    done = slice(t - row - 1, t)
+                    ys = stream.losses[done, :, None]
+                    exp_loss_hist[:, done] = _products(policies, ys)
+                    if sampled:
+                        loss_hist[:, done] = _products(draws, ys)
         except ComblabError as err:
             err.args = (f"trial {trial}, round {t}: {err}",)
             err.trial, err.round = trial, t
@@ -530,6 +549,14 @@ def run_experiment(config, decision_set=None):
     if config.out:
         result.to_csv(config.out)
     return result
+
+
+def _products(block, ys):
+    """``(n, k)``: ``float(x @ y)`` of the first ``k`` rows ``x`` of each
+    learner's ``(n, rows, d)`` block with the ``(k, d, 1)`` losses ``ys``
+    of their rounds, bit for bit, in one ``matmul`` of vector pairs (numpy
+    takes each pair's ``ddot``, as for ``x @ y``)."""
+    return np.matmul(block[:, :len(ys), None, :], ys)[..., 0, 0]
 
 
 def _feasible_prefix(dset, ys):

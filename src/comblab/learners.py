@@ -514,6 +514,6 @@ def shift_losses(dag, y):
     Returns ``(y_shifted, alpha)``.
     """
     y = np.asarray(y, dtype=float)
-    _, dist = dag.semiring_pass(y, np.minimum)
+    dist = dag.forward_pass(y, np.minimum)
     shifted = y + dist[dag.compiled.tails] - dist[dag.compiled.heads]
     return shifted, float(-dist[dag.sink])

@@ -104,18 +104,18 @@ def draw_paths(dag, flows, uniforms):
             if bad is not None:
                 bad |= ~(total < np.inf).all(axis=1)
             col += len(verts)
-    paths = []
+    paths, heads, source, sink = [], layout.heads, dag.source, dag.sink
     for r, step in enumerate(picks.tolist()):
         if bad is not None and bad[r]:
             return paths, PreconditionError("flow must be finite and "
                                             "non-negative")
-        path, u = [], dag.source
-        while u != dag.sink:
+        path, u = [], source
+        while u != sink:
             e = step[u]
             if e < 0:
                 return paths, DegenerateVertex(f"no outgoing flow at vertex {u}")
             path.append(e)
-            u = layout.heads[e]
+            u = heads[e]
         paths.append(path)
     return paths, None
 

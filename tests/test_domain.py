@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 
@@ -58,6 +59,17 @@ def test_explicit_set_rejects_bad_input():
         cl.ExplicitSet([[0, 1], [0, 1]])
     with pytest.raises(cl.PreconditionError):
         cl.MSet(4, 3)  # m > d/2
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ([[1, 0], [1, 0, 1]], "vertices of unequal lengths [2, 3]"),
+    ([[1, 0, 1], [0, 1], [1]], "vertices of unequal lengths [1, 2, 3]"),
+    # one entry 2-D, of the same size as the other
+    ([[1, 0], [[0], [1]]], "need a non-empty 2-D array of vertices")],
+    ids=["two-lengths", "three-lengths", "a-2d-entry"])
+def test_explicit_set_rejects_ragged_vertices(vectors, message):
+    with pytest.raises(cl.PreconditionError, match=f"^{re.escape(message)}$"):
+        cl.ExplicitSet(vectors)
 
 
 def test_explicit_set_finds_a_duplicate_among_many_vertices():
@@ -215,6 +227,23 @@ def test_validate_loss_path_weight():
     assert report.witness.tolist() == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("dset", [
+    cl.MSet(4, 2), cl.MSet(16, 8), cl.MultitaskSet([2, 2]),
+    cl.DagPathSet(diamond_dag())],
+    ids=["mset:4:2", "mset:16:8", "multitask:2,2", "diamond"])
+def test_an_overflowing_action_loss_fails_with_value_inf_and_no_warning(dset):
+    # pytest turns a RuntimeWarning into an error here (pyproject.toml)
+    d = dset.dimension
+    rows = [np.full(d, 1e308), np.full(d, -1e308)]
+    if isinstance(dset, cl.MSet) and d == 16:  # sums of both signs: NaN
+        rows.append(np.array([-1e308] * 4 + [1e308] * 4 + [1.7e308] * 8))
+    for y in rows:
+        report = dset.validate_loss(y)
+        assert (report.ok, report.value, report.witness) == (False, np.inf, None)
+    ok, value = dset.validate_losses(np.array(rows))
+    assert not ok.any() and np.all(value == np.inf)
+
+
 def test_validate_loss_tolerance_edge():
     report = cl.MSet(4, 2).validate_loss(np.array([0.5, 0.5, 0.5, 0.5 + 5e-10]))
     assert report.ok  # inside the 1e-9 feasibility slack
@@ -257,9 +286,8 @@ def test_validate_losses_match_validate_loss_row_by_row():
     gen = RngStream(44, 0).generator
     for dset in _batch_test_sets():
         rows = _rows_to_check(dset, gen)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok, value = dset.validate_losses(rows)
-            reports = [dset.validate_loss(y) for y in rows]
+        ok, value = dset.validate_losses(rows)
+        reports = [dset.validate_loss(y) for y in rows]
         assert ok.tolist() == [r.ok for r in reports]
         assert value.tobytes() == np.array([r.value for r in reports]).tobytes()
         assert ok[:6].tolist() == [True, True, False, False, True, True]
@@ -510,6 +538,21 @@ def test_semiring_pass_runs_columns_bit_for_bit():
                 one_back, one_forward = dag.semiring_pass(y, reduce)
                 assert backward[:, k].tobytes() == one_back.tobytes()
                 assert forward[:, k].tobytes() == one_forward.tobytes()
+
+
+def test_forward_pass_is_the_forward_half_of_the_pass_bit_for_bit():
+    gen = RngStream(47, 0).generator
+    # an edge into the source and one out of the sink lie on no s-t path
+    off_path = cl.Dag(6, [(4, 0), (0, 1), (1, 2), (0, 2), (2, 3), (1, 3),
+                          (3, 5)], 0, 3)
+    dags = _pass_test_dags() + [cl.MultitaskSet([2, 3, 4]).dag, off_path]
+    for dag in dags:
+        ys = np.array(list(_losses_with_ties(dag, gen)))
+        for reduce in (np.minimum, np.maximum, np.logaddexp):
+            for values in (ys[-1], ys.T):
+                want = dag.semiring_pass(values, reduce)[1]
+                got = dag.forward_pass(values, reduce)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _selection_values(dag, coord, gen, columns):

@@ -85,3 +85,41 @@ def test_a_rewritten_column_file_has_the_same_bytes(tmp_path, monkeypatch):
         "columns.npz").read_bytes()
     with np.load(golden.COLUMNS) as npz:
         assert len(npz.files) == len(columns)
+
+
+@pytest.mark.parametrize("mode", ["expected", "sampled"])
+@pytest.mark.parametrize("family", list(golden.FAMILIES))
+def test_ledger_columns_are_the_per_round_products_bit_for_bit(
+        monkeypatch, family, mode):
+    # each learner-round's float(policy @ y), or float(x @ y) of its draw,
+    # against the harness's block products; blocks of 50 // d rounds (at
+    # least one) end inside each trial
+    cl, learners = golden.cl, golden.cl.learners
+    monkeypatch.setattr(cl.harness, "PLAN_ENTRIES", 50)
+    held, charged = {}, {}
+
+    def keeping(fn):
+        def call(self, *args):
+            held[self] = out = fn(self, *args)
+            return out
+        return call
+
+    def charging(fn):
+        def call(self, y):
+            charged.setdefault(self.name, []).append(float(held[self] @ y))
+            return fn(self, y)
+        return call
+
+    kept = "sample" if mode == "sampled" else "propose"
+    for cls in vars(learners).values():
+        if isinstance(cls, type) and issubclass(cls, learners.Learner):
+            if kept in vars(cls):
+                monkeypatch.setattr(cls, kept, keeping(vars(cls)[kept]))
+    monkeypatch.setattr(learners.Learner, "absorb",
+                        charging(learners.Learner.absorb))
+    config = golden.configs()[f"{family}/gaussian/{mode}"]
+    result = cl.run_experiment(config)
+    assert set(charged) == set(config.learner_specs)
+    for spec, per_trial in result.ledgers.items():
+        column = np.concatenate([led.loss for led in per_trial])
+        assert column.tobytes() == np.array(charged[spec]).tobytes(), spec

@@ -94,6 +94,31 @@ def test_malformed_specs_raise_precondition(tmp_path, slot, spec):
         assert (info.value.trial, info.value.round) == (0, 0)
 
 
+@pytest.mark.parametrize("build, spec, option", [
+    (cl.build_set, "mset:6:2:x=1:x=2", "x"),
+    (lambda spec: cl.build_learner(spec, cl.MSet(6, 2), 10),
+     "hedge:eta=0.1:eta=0.5", "eta"),
+    (lambda spec: cl.build_adversary(spec, cl.MSet(6, 2), 10),
+     "gaussian:scale=0.1:scale=0.5", "scale")],
+    ids=["set", "learner", "adversary"])
+def test_a_repeated_spec_option_is_rejected(build, spec, option):
+    with pytest.raises(cl.PreconditionError, match=re.escape(
+            f"spec {spec!r}: option {option} is repeated")):
+        build(spec)
+
+
+def test_cli_rejects_a_repeated_spec_option_in_one_line(tmp_path, capsys):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("set=mset:6:2\nlearner=hedge:eta=0.1:eta=0.5\n"
+                       "adversary=mset-lb\nT=4\n")
+    assert cli_main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "comblab: PreconditionError: trial 0, round 0: learner spec "
+        "'hedge:eta=0.1:eta=0.5': option eta is repeated\n")
+
+
 def test_vertex_files_split_rows_on_any_whitespace(tmp_path):
     p = tmp_path / "tabs.txt"
     p.write_text("# three of the cube\n1\t0\t1\n0 \t1  1\n\n110\n")
@@ -376,6 +401,47 @@ def test_each_round_asks_the_stream_for_its_loss_once(monkeypatch, set_spec,
                               horizon=12, trials=3, mode="sampled")
     cl.run_experiment(cfg)
     assert rounds == Counter({t: 3 for t in range(1, 13)})
+
+
+@pytest.mark.parametrize("set_spec, learners, adversary, mode", [
+    ("dag-layered:16:32", ["hedge-dag", "omd-dilated", "omd-entropy-dag"],
+     "dag-layered:16:32", "sampled"),
+    ("mset:6:2", ["hedge", "omd-mset"], "gaussian", "sampled"),
+    ("multitask:2,3", ["hedge"], "gaussian", "expected")])
+def test_each_learner_proposes_samples_and_absorbs_once_a_round_in_order(
+        monkeypatch, set_spec, learners, adversary, mode):
+    # the calls the loop makes itself, not those a learner makes inside one
+    # (an unplanned PathHedge's sample proposes), in blocks of 2 to 6 rounds
+    monkeypatch.setattr(hz, "PLAN_ENTRIES", 32)
+    events, depth = [], []
+
+    def outermost(kind, fn):
+        def call(self, *args):
+            if not depth:
+                events.append((kind, args[0] if kind == "loss" else self.name))
+            depth.append(kind)
+            try:
+                return fn(self, *args)
+            finally:
+                depth.pop()
+        return call
+
+    for cls in cl.adversaries.LossStream.__subclasses__():
+        monkeypatch.setattr(cls, "loss", outermost("loss", vars(cls)["loss"]))
+    for cls in vars(cl.learners).values():
+        if isinstance(cls, type) and issubclass(cls, cl.learners.Learner):
+            for kind in ("propose", "sample", "absorb"):
+                if kind in vars(cls):
+                    monkeypatch.setattr(cls, kind,
+                                        outermost(kind, vars(cls)[kind]))
+    horizon, trials = 12, 2
+    cl.run_experiment(cl.ExperimentConfig(set_spec, learners, adversary,
+                                          horizon=horizon, trials=trials,
+                                          mode=mode))
+    kinds = ["propose"] + ["sample"] * (mode == "sampled") + ["absorb"]
+    one_round = [(kind, spec) for spec in learners for kind in kinds]
+    assert events == trials * [event for t in range(1, horizon + 1)
+                               for event in [("loss", t)] + one_round]
 
 
 @pytest.mark.parametrize("bad_round", [1, 3])
